@@ -759,13 +759,16 @@ void Processor::handle_delivery_failure(Envelope original) {
     case MsgKind::kCancel:
     case MsgKind::kControl:
       // Protocol messages with no payload-level reissue path: nobody
-      // regenerates a lost ack, error broadcast, data reply, state chunk,
-      // or cancel, so a loss on a lossy/gray link would quietly break
-      // liveness (a waiting parent, an unhonoured reissue obligation, a
-      // duplicate computing to run end). Retry after a backoff while the
-      // destination stays alive — each retry is another independent draw,
-      // so delivery is eventually certain; receivers are idempotent (stale
-      // broadcasts, chunks, and cancels are guarded at the handler).
+      // regenerates a lost ack, data reply, state chunk, or cancel, and the
+      // detector broadcasts each death once, so a loss on a lossy/gray link
+      // would quietly break liveness (a waiting parent, an unhonoured
+      // reissue obligation, a duplicate computing to run end). Retry after
+      // a backoff while the destination stays alive — each retry is another
+      // independent draw, so delivery is eventually certain; receivers are
+      // idempotent (stale broadcasts, chunks, and cancels are guarded at the
+      // handler). A broadcast whose subject is alive is not retried at all
+      // (stale_error_notice): its receiver would discard it, and across a
+      // partition the retries would bounce until the heal.
       // In-process backends only: across OS processes the bounce means the
       // peer really went down, and a retry would just bounce again.
       if (!rt_.network().distributed() && rt_.network().alive(dead)) {
@@ -784,6 +787,7 @@ void Processor::handle_delivery_failure(Envelope original) {
 }
 
 void Processor::retransmit_after_backoff(Envelope env) {
+  if (stale_error_notice(env)) return;
   const net::ProcId dest = env.to;
   const bool is_cancel = env.kind == MsgKind::kCancel;
   // Register waiting cancels with the runtime so the gc oracle knows the
@@ -801,6 +805,7 @@ void Processor::retransmit_after_backoff(Envelope env) {
         if (is_cancel) note_cancel_backoff(cancel_stamp, -1);
         if (dead_ || life != incarnation_ || rt_.done()) return;
         if (!rt_.network().alive(dest)) return;  // addressee died meanwhile
+        if (stale_error_notice(env)) return;     // subject revived meanwhile
         if (is_cancel) {
           ++counters_.cancel_retries;
         } else {
@@ -808,6 +813,12 @@ void Processor::retransmit_after_backoff(Envelope env) {
         }
         rt_.network().send(std::move(env));
       });
+}
+
+bool Processor::stale_error_notice(const Envelope& env) const {
+  return env.kind == MsgKind::kErrorDetection &&
+         !rt_.network().distributed() &&
+         rt_.network().alive(std::get<ErrorMsg>(env.payload).dead);
 }
 
 void Processor::note_cancel_backoff(const LevelStamp& stamp, int delta) {
@@ -828,6 +839,7 @@ void Processor::note_cancel_backoff(const LevelStamp& stamp, int delta) {
 void Processor::learn_dead(net::ProcId dead, bool direct_detection) {
   if (dead == id_ || known_dead_.contains(dead)) return;
   known_dead_.insert(dead);
+  if (rt_.network().alive(dead)) cut_off_.insert(dead);
   // A catch-up peer that died mid-stream will never send its last chunk.
   note_transfer_peer_done(dead);
   rt_.recorder().record(
@@ -843,20 +855,28 @@ void Processor::learn_dead(net::ProcId dead, bool direct_detection) {
   rt_.note_detection(dead, id_);
   if (direct_detection) {
     // First-hand detector: broadcast error-detection so every processor can
-    // honour its reissue obligations.
+    // honour its reissue obligations. A peer this node already holds dead
+    // and cannot reach sits across an active partition: the send could only
+    // bounce, so skip it — learn_alive_across_heal delivers the notice
+    // when the cut heals.
     ++counters_.error_broadcasts;
     for (net::ProcId p = 0; p < rt_.network().size(); ++p) {
       if (p == id_ || p == dead || !rt_.network().alive(p)) continue;
-      Envelope env;
-      env.kind = MsgKind::kErrorDetection;
-      env.from = id_;
-      env.to = p;
-      env.size_units = 1;
-      env.payload = ErrorMsg{dead, id_};
-      rt_.network().send(std::move(env));
+      if (knows_dead(p) && !rt_.network().reachable(id_, p)) continue;
+      send_error_notice(p, dead);
     }
   }
   rt_.policy().on_error_detected(*this, dead);
+}
+
+void Processor::send_error_notice(net::ProcId to, net::ProcId dead) {
+  Envelope env;
+  env.kind = MsgKind::kErrorDetection;
+  env.from = id_;
+  env.to = to;
+  env.size_units = 1;
+  env.payload = ErrorMsg{dead, id_};
+  rt_.network().send(std::move(env));
 }
 
 void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin,
@@ -1140,6 +1160,7 @@ void Processor::revive() {
   // Whatever the rejoin mode, the node has no memory of which peers failed
   // while it was down; warm catch-up re-learns that from survivors.
   known_dead_.clear();
+  cut_off_.clear();
   const bool warm = rt_.warm_rejoin();
   std::size_t restored = 0;
   table_.set_listener(nullptr);  // replay must not re-log itself
@@ -1354,6 +1375,7 @@ void Processor::learn_alive(net::ProcId back) {
   }
   // Incremental concatenation in the thunks dodges a gcc 12 -Wrestrict
   // false positive (same workaround as learn_dead).
+  cut_off_.erase(back);
   if (known_dead_.erase(back) > 0) {
     rt_.recorder().record(rt_.sim().now(), obs::EventKind::kPeerRejoin,
                           {.proc = id_, .peer = back}, [&] {
@@ -1376,6 +1398,18 @@ void Processor::learn_alive(net::ProcId back) {
                           return detail;
                         });
   rt_.policy().on_error_detected(*this, back);
+}
+
+void Processor::learn_alive_across_heal(net::ProcId back,
+                                        const std::vector<net::ProcId>& dead) {
+  learn_alive(back);
+  for (net::ProcId d : dead) {
+    // A peer written off while only cut off, that died later: its own side
+    // detects the death first-hand and broadcasts it to every survivor. A
+    // notice from here would pre-empt that detection and leave this side
+    // of the cut without the broadcast.
+    if (knows_dead(d) && !cut_off_.contains(d)) send_error_notice(back, d);
+  }
 }
 
 void Processor::freeze() { frozen_ = true; }

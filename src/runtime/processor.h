@@ -90,6 +90,14 @@ class Processor {
   /// Record that `back` rejoined: forget it was dead so sends, relays and
   /// heartbeats toward it resume.
   void learn_alive(net::ProcId back);
+  /// A healed partition reunites this node with `back`, which it held dead
+  /// only because of the cut: learn it alive, then send it one
+  /// error-detection notice for each node of `dead` (the nodes actually
+  /// dead at the heal) that this node learned of as a real death. While
+  /// the cut stood, learn_dead's broadcasts skipped `back`, so these are
+  /// the notices it may still lack.
+  void learn_alive_across_heal(net::ProcId back,
+                               const std::vector<net::ProcId>& dead);
   [[nodiscard]] bool knows_dead(net::ProcId p) const {
     return known_dead_.contains(p);
   }
@@ -289,6 +297,11 @@ class Processor {
   /// destination stays alive — the liveness net for lossy/gray links, for
   /// message kinds that have no payload-level reissue path of their own.
   void retransmit_after_backoff(net::Envelope env);
+  /// An error-detection notice whose subject is alive: its receiver would
+  /// discard it (on_payload(ErrorMsg)), so re-sending it changes nothing.
+  /// Never true across OS processes, where receivers trust the reporter.
+  [[nodiscard]] bool stale_error_notice(const net::Envelope& env) const;
+  void send_error_notice(net::ProcId to, net::ProcId dead);
   void do_heartbeat();
   void resume_after_fill(Task& task);
 
@@ -310,6 +323,10 @@ class Processor {
   bool frozen_ = false;
   bool dead_ = false;
   std::unordered_set<net::ProcId> known_dead_;
+  /// The part of known_dead_ this node wrote off while they were alive:
+  /// peers an active partition cut off. Its broadcast about one told no
+  /// one anything (receivers discard it), so a heal owes no notice of it.
+  std::unordered_set<net::ProcId> cut_off_;
   checkpoint::CheckpointTable table_;
   store::DurableStore store_;
   store::StateStreamer streamer_;

@@ -339,6 +339,11 @@ void Runtime::note_detection(net::ProcId dead, net::ProcId detector) {
 }
 
 void Runtime::on_kill(net::ProcId dead) {
+  // A kill starts a new death. A node noted dead while alive was only cut
+  // off by a partition that has not healed yet; that false detection must
+  // not stand in for this one, or the super-root and the global policy
+  // never hear of the crash (a root hosted here would never be re-injected).
+  if (dead < detection_noted_.size()) detection_noted_[dead] = false;
   procs_.at(dead)->nuke();
   recorder_.record(sim_.now(), obs::EventKind::kCrash, {.proc = dead},
                    [] { return std::string("processor failed (fail-silent)"); });
@@ -380,6 +385,12 @@ void Runtime::on_partition_heal(const std::vector<net::ProcId>& side) {
   for (net::ProcId p : side) {
     if (p < procs_.size()) in_side[p] = true;
   }
+  // The death notices the cut held back can only be about nodes that are
+  // still dead; empty when the partition was the only fault.
+  std::vector<net::ProcId> dead;
+  for (net::ProcId d = 0; d < procs_.size(); ++d) {
+    if (!network_.alive(d)) dead.push_back(d);
+  }
   for (net::ProcId q = 0; q < procs_.size(); ++q) {
     if (!network_.alive(q)) continue;
     bool suspected = false;
@@ -390,12 +401,15 @@ void Runtime::on_partition_heal(const std::vector<net::ProcId>& side) {
       if (!procs_[p]->knows_dead(q)) continue;
       suspected = true;
       if (engine_ != nullptr) {
-        // learn_alive sends a state request from p — p's shard runs it.
-        engine_->post_shard(p, [this, p, q] {
-          if (!procs_[p]->crashed()) procs_[p]->learn_alive(q);
+        // learn_alive sends a state request and the catch-up notices from
+        // p — p's shard runs it, as one op.
+        engine_->post_shard(p, [this, p, q, dead] {
+          if (!procs_[p]->crashed()) {
+            procs_[p]->learn_alive_across_heal(q, dead);
+          }
         });
       } else {
-        procs_[p]->learn_alive(q);
+        procs_[p]->learn_alive_across_heal(q, dead);
       }
     }
     if (suspected && q < detection_noted_.size()) {

@@ -235,7 +235,8 @@ class Runtime {
   /// rejoin notice will ever clear, because the "dead" nodes never died.
   /// Reconcile the mutual suspicion: every survivor that believes a live
   /// node across the healed cut is dead relearns it alive, exactly as a
-  /// rejoin notice would have taught it.
+  /// rejoin notice would have taught it, and sends it the notices about
+  /// really dead nodes that its broadcasts skipped while the cut stood.
   void on_partition_heal(const std::vector<net::ProcId>& side);
 
   // ---- fault triggers ------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include "core/simulation.h"
 #include "net/link_faults.h"
+#include "recovery/recovery_oracle.h"
 #include "test_util.h"
 
 namespace splice {
@@ -276,6 +277,78 @@ TEST(Partition, ProbabilisticHealIsSeedDeterministic) {
   const RunResult b = run(7);
   ASSERT_TRUE(a.completed) << a.summary();
   expect_same_run(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Partition error detection: no broadcast storm across the cut, and the
+// death notices the cut held back arrive at the heal
+// ---------------------------------------------------------------------------
+
+/// The 2-hop neighbourhood of processor 27 (13 of the torus's 64 nodes) is
+/// cut off from t=1000 to the heal at t=4000.
+net::FaultPlan hood_cut() {
+  return net::FaultPlan::partition(net::RegionSpec::neighborhood(27, 2),
+                                   sim::SimTime(1000), sim::SimTime(3000));
+}
+
+TEST(Partition, ErrorBroadcastsDoNotStormAcrossTheCut) {
+  const RunResult r = core::run_once(
+      testing::torus64_config(), lang::programs::tree_sum(10, 2, 60, 10),
+      hood_cut());
+  ASSERT_TRUE(r.completed) << r.summary();
+  EXPECT_TRUE(r.answer_correct) << r.summary();
+  ASSERT_GT(r.net.partition_cut, 0U) << "the cut never bit";
+  // A broadcast about a node that is only cut off is discarded by every
+  // receiver, so it must not be re-sent when it bounces. Re-sending it, and
+  // broadcasting to peers already written off across the cut, made this
+  // run re-send 41,796 bounced messages for 42,702 cut sends (98%) and send
+  // 76,752 kErrorDetection messages.
+  EXPECT_LE(r.counters.bounce_retransmits * 100, r.net.partition_cut)
+      << r.counters.bounce_retransmits << " retransmits for "
+      << r.net.partition_cut << " cut sends";
+  EXPECT_LE(r.net.sent[static_cast<std::size_t>(MsgKind::kErrorDetection)],
+            76752U / 2);
+}
+
+TEST(Partition, HealDeliversTheDeathNoticesTheCutHeldBack) {
+  // Processor 52, on the majority side, crashes at t=2800: long after both
+  // sides wrote each other off (first detection near t=1400). Its
+  // detectors hold every node of the cut-off side dead, so their
+  // broadcasts skip that side; the heal must deliver the notices, or the
+  // cut-off side never learns of the crash.
+  net::FaultPlan plan = hood_cut();
+  plan.merge(net::FaultPlan::single(52, sim::SimTime(2800)));
+  core::Simulation sim(testing::torus64_config(),
+                       lang::programs::tree_sum(10, 2, 60, 10));
+  sim.set_fault_plan(plan);
+  const RunResult r = sim.run();
+  ASSERT_TRUE(r.completed) << r.summary();
+  EXPECT_TRUE(r.answer_correct) << r.summary();
+  ASSERT_GT(r.makespan_ticks, 4000) << "the job ended before the heal";
+  const recovery::OracleReport report = recovery::RecoveryOracle::check(r);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  for (const net::ProcId p : testing::unaware_of_death(sim, 52)) {
+    ADD_FAILURE() << "P" << p << " never learned that P52 died";
+  }
+}
+
+TEST(Partition, RootHostCrashInsideTheCutIsRecovered) {
+  // The cut isolates the root's host, processor 0, with its 2-hop
+  // neighbourhood; the majority side writes it off near t=1400, which
+  // already reports a death of processor 0 to the super-root. Then
+  // processor 0 really crashes at t=2500. That crash is a new death: the
+  // super-root must hear of it and re-inject the root, or the job stalls.
+  net::FaultPlan plan = net::FaultPlan::partition(
+      net::RegionSpec::neighborhood(0, 2), sim::SimTime(1000),
+      sim::SimTime(3000));
+  plan.merge(net::FaultPlan::single(0, sim::SimTime(2500)));
+  const RunResult r = core::run_once(
+      testing::torus64_config(), lang::programs::tree_sum(10, 2, 60, 10),
+      plan);
+  ASSERT_TRUE(r.completed) << r.summary();
+  EXPECT_TRUE(r.answer_correct) << r.summary();
+  const recovery::OracleReport report = recovery::RecoveryOracle::check(r);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 // ---------------------------------------------------------------------------

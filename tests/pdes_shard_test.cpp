@@ -22,6 +22,7 @@
 
 #include "core/simulation.h"
 #include "obs/journal.h"
+#include "recovery/recovery_oracle.h"
 #include "test_util.h"
 
 namespace splice {
@@ -189,6 +190,40 @@ TEST(PdesShard, CrashDuringPartitionBitIdentical) {
   for (const std::uint64_t seed : {1u, 17u}) {
     expect_shard_invariant(lang::programs::nqueens(5), seed, plan);
   }
+}
+
+TEST(PdesShard, HealCatchUpBitIdentical) {
+  // A crash on the majority side of an active cut, after both sides wrote
+  // each other off: the death notices the cut held back reach the cut-off
+  // side at the heal, in the same coordinator-posted op that relearns the
+  // peer alive, so the result cannot depend on the shard count.
+  const lang::Program program = lang::programs::tree_sum(10, 2, 60, 10);
+  const net::FaultPlan plan = core::parse_fault_plan(
+      "partition:hood(27,r2)@1000,heal=3000;kill:52@2800");
+  std::vector<EngineRun> runs;
+  for (const std::uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    core::SystemConfig cfg = testing::torus64_config();
+    cfg.parallel.shards = shards;
+    cfg.obs.recorder = true;
+    cfg.obs.journal_capacity = 1u << 18;
+    core::Simulation sim(cfg, program);
+    sim.set_fault_plan(plan);
+    EngineRun run;
+    run.result = sim.run();
+    run.journal = obs::serialize(sim.recorder().snapshot());
+    ASSERT_TRUE(run.result.completed) << run.result.summary();
+    EXPECT_TRUE(run.result.answer_correct) << run.result.summary();
+    ASSERT_GT(run.result.makespan_ticks, 4000) << "ended before the heal";
+    const recovery::OracleReport report =
+        recovery::RecoveryOracle::check(run.result);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    for (const net::ProcId p : testing::unaware_of_death(sim, 52)) {
+      ADD_FAILURE() << "P" << p << " never learned that P52 died";
+    }
+    runs.push_back(std::move(run));
+  }
+  expect_identical(runs[0], runs[1]);
 }
 
 TEST(PdesShard, SchedulersBitIdentical) {

@@ -2,11 +2,13 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/config.h"
 #include "core/simulation.h"
 #include "lang/programs.h"
 #include "net/fault_injector.h"
+#include "runtime/processor.h"
 
 namespace splice::testing {
 
@@ -22,6 +24,29 @@ inline core::SystemConfig base_config(std::uint32_t processors = 8,
   cfg.heartbeat_interval = 1500;
   cfg.seed = seed;
   return cfg;
+}
+
+/// The machine of the partition-heal tests: an 8x8 torus under the
+/// gradient scheduler with splice recovery, every other setting default.
+inline core::SystemConfig torus64_config() {
+  core::SystemConfig cfg;
+  cfg.processors = 64;
+  cfg.topology = net::TopologyKind::kTorus2D;
+  cfg.scheduler.kind = core::SchedulerKind::kGradient;
+  cfg.recovery.kind = core::RecoveryKind::kSplice;
+  return cfg;
+}
+
+/// Live processors of a finished simulation that do not hold `dead` dead.
+inline std::vector<net::ProcId> unaware_of_death(core::Simulation& sim,
+                                                 net::ProcId dead) {
+  std::vector<net::ProcId> out;
+  runtime::Runtime& rt = sim.runtime_for_test();
+  for (net::ProcId p = 0; p < sim.config().processors; ++p) {
+    if (p == dead || rt.processor(p).crashed()) continue;
+    if (!rt.processor(p).knows_dead(dead)) out.push_back(p);
+  }
+  return out;
 }
 
 /// Reference fibonacci for oracle checks.
