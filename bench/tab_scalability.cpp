@@ -1,6 +1,5 @@
 // E11 — scalability: processors 2..256 across topologies.
 // E16 — simulator throughput: the recorded perf trajectory.
-// E17 — duplicate reclaim: omniscient sweep-GC vs. the cancel protocol.
 // E19 — goodput + reclaim latency under link-level chaos (partition-and-heal
 //       and gray-failure churn) at 128/256 processors.
 // E20 — flight-recorder cost + the recovery story as a time series: E19's
@@ -291,117 +290,14 @@ int main(int argc, char** argv) {
   }
   bench::emit(churn, opt);
 
-  // ---- E17: duplicate reclaim — sweep-GC vs. cancel protocol --------------
-  // The duplicate generator: warm rejoin under recurring faults with an
-  // immediately-expiring pre-link grace, so re-hosted parents respawn
-  // surviving orphan subtrees as twins while the originals keep computing.
-  // Mode "sweep" reclaims with the legacy omniscient sweep (cancellation
-  // off); mode "cancel" with protocol messages only (sweeps off). Reclaim
-  // latency is mean ticks from a reclaimed duplicate's creation to its
-  // abort — the same proxy in both modes, so rows compare like for like.
-  struct E17Row {
-    std::uint32_t procs = 0;
-    const char* mode = nullptr;
-    double reclaimed = 0;
-    double latency = 0;
-    double cancel_msgs = 0;
-    double total_msgs = 0;
-    double slowdown = 0;
-    int correct = 0;
-    int runs = 0;
-  };
-  std::vector<E17Row> e17_rows;
-  // Deeper trees than the scalability workload: duplicate races need
-  // enough concurrent subtrees per processor for a fault to actually
-  // collide, so the tree grows with the machine (~8+ tasks/processor).
+  // E19 and E20 run deeper trees than the scalability workload: duplicate
+  // races need enough concurrent subtrees per processor for a fault to
+  // actually collide, so the tree grows with the machine (~8+ tasks per
+  // processor).
   const auto reclaim_program_for = [](std::uint32_t procs) {
     return lang::programs::tree_sum(procs >= 256 ? 11 : procs >= 128 ? 10 : 9,
                                     2, 400, 30);
   };
-  util::Table reclaim({"procs", "mode", "correct", "reclaimed",
-                       "reclaim latency", "cancel msgs", "total msgs",
-                       "slowdown"});
-  reclaim.set_title(
-      "E17 duplicate reclaim — omniscient sweep vs. cancel protocol "
-      "(warm rejoin churn, pre-link race)");
-  const std::vector<std::uint32_t> e17_sizes =
-      opt.quick ? std::vector<std::uint32_t>{64U}
-                : std::vector<std::uint32_t>{64U, 128U, 256U};
-  for (std::uint32_t procs : e17_sizes) {
-    const lang::Program reclaim_program = reclaim_program_for(procs);
-    for (const bool cancel_mode : {false, true}) {
-      auto reps = bench::run_replicates(
-          opt.replicates, reclaim_program,
-          [&](std::uint64_t s) {
-            core::SystemConfig cfg =
-                config_for(procs, net::TopologyKind::kTorus2D, s);
-            cfg.store.model = store::Persistency::kLocal;
-            cfg.store.warm_grace = 40000;
-            cfg.store.prelink_grace = 1;  // guaranteed respawn race
-            if (cancel_mode) {
-              cfg.reclaim.cancellation = true;
-              cfg.reclaim.gc_interval = 0;  // protocol only
-            } else {
-              cfg.reclaim.cancellation = false;
-              cfg.reclaim.gc_interval = 500;  // the omniscient baseline
-            }
-            return cfg;
-          },
-          [&](const core::SystemConfig&, std::int64_t makespan,
-              std::uint64_t seed) {
-            net::RecurringFault arrivals;
-            arrivals.start = sim::SimTime(makespan / 6);
-            arrivals.stop = sim::SimTime(makespan * 2);
-            arrivals.mean_interval = static_cast<double>(makespan) / 12;
-            arrivals.max_faults = 24;
-            net::FaultPlan plan = net::FaultPlan::poisson(arrivals);
-            plan.with_rejoin(sim::SimTime(makespan / 16),
-                             net::RejoinMode::kWarm);
-            plan.with_seed(seed * 29 + 13);
-            return plan;
-          });
-      auto mean = [&](auto metric) { return bench::mean_of(reps, metric); };
-      E17Row row;
-      row.procs = procs;
-      row.mode = cancel_mode ? "cancel" : "sweep";
-      row.reclaimed = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.counters.tasks_cancelled +
-                                   r.result.counters.orphans_gced);
-      });
-      row.latency = mean([](const bench::Replicate& r) {
-        const auto n = r.result.counters.tasks_cancelled +
-                       r.result.counters.orphans_gced;
-        return n == 0 ? 0.0
-                      : static_cast<double>(
-                            r.result.counters.reclaim_latency_ticks) /
-                            static_cast<double>(n);
-      });
-      row.cancel_msgs = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.net.sent[static_cast<std::size_t>(
-            net::MsgKind::kCancel)]);
-      });
-      row.total_msgs = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.net.total_sent());
-      });
-      row.slowdown = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.makespan_ticks) /
-               static_cast<double>(r.clean_makespan);
-      });
-      row.correct = bench::correct_count(reps);
-      row.runs = static_cast<int>(reps.size());
-      e17_rows.push_back(row);
-      reclaim.add_row(
-          {util::Table::num(static_cast<std::uint64_t>(procs)),
-           std::string(row.mode),
-           std::to_string(row.correct) + "/" + std::to_string(row.runs),
-           util::Table::num(row.reclaimed, 1),
-           util::Table::num(row.latency, 0),
-           util::Table::num(row.cancel_msgs, 1),
-           util::Table::num(row.total_msgs, 0),
-           util::Table::num(row.slowdown, 2)});
-    }
-  }
-  bench::emit(reclaim, opt);
 
   // ---- E19: goodput + reclaim latency under link-level chaos --------------
   // No processor dies in either scenario; the wire itself misbehaves.
@@ -412,7 +308,8 @@ int main(int argc, char** argv) {
   // starves one node's payload traffic (heartbeats still flow: detection
   // must stay silent) on top of background lossy links. Goodput is
   // completed tasks per kilotick of makespan — the rate useful work keeps
-  // landing while the links misbehave; reclaim latency is the E17 proxy.
+  // landing while the links misbehave; reclaim latency is mean ticks from a
+  // cancelled duplicate's creation to its abort.
   struct E19Row {
     std::uint32_t procs = 0;
     const char* scenario = nullptr;
@@ -487,12 +384,10 @@ int main(int argc, char** argv) {
                static_cast<double>(r.clean_makespan);
       });
       row.reclaimed = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.counters.tasks_cancelled +
-                                   r.result.counters.orphans_gced);
+        return static_cast<double>(r.result.counters.tasks_cancelled);
       });
       row.latency = mean([](const bench::Replicate& r) {
-        const auto n = r.result.counters.tasks_cancelled +
-                       r.result.counters.orphans_gced;
+        const auto n = r.result.counters.tasks_cancelled;
         return n == 0 ? 0.0
                       : static_cast<double>(
                             r.result.counters.reclaim_latency_ticks) /
@@ -833,20 +728,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(r.eventfn_heap_fallbacks),
                    i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(out, "  ],\n  \"e17_reclaim\": [\n");
-    for (std::size_t i = 0; i < e17_rows.size(); ++i) {
-      const E17Row& r = e17_rows[i];
-      std::fprintf(out,
-                   "    {\"procs\": %u, \"mode\": \"%s\", "
-                   "\"correct\": %d, \"runs\": %d, "
-                   "\"reclaimed_mean\": %.1f, "
-                   "\"reclaim_latency_ticks_mean\": %.0f, "
-                   "\"cancel_msgs_mean\": %.1f, \"total_msgs_mean\": %.0f, "
-                   "\"slowdown_mean\": %.2f}%s\n",
-                   r.procs, r.mode, r.correct, r.runs, r.reclaimed, r.latency,
-                   r.cancel_msgs, r.total_msgs, r.slowdown,
-                   i + 1 < e17_rows.size() ? "," : "");
-    }
     std::fprintf(out, "  ],\n  \"e19_chaos\": [\n");
     for (std::size_t i = 0; i < e19_rows.size(); ++i) {
       const E19Row& r = e19_rows[i];
@@ -924,10 +805,7 @@ int main(int argc, char** argv) {
       "traffic grows linearly with machine size. Under recurring faults\n"
       "with repair, large machines stay correct and near full strength at\n"
       "the end of the run; reissues scale with the fault rate, not the\n"
-      "machine size. E17: the cancel protocol reclaims duplicates with a\n"
-      "latency bounded by message propagation (well under the sweep's\n"
-      "period-quantized latency, and never worse than 2x) at the cost of\n"
-      "explicit cancel traffic. E19: with only the wire misbehaving — a\n"
+      "machine size. E19: with only the wire misbehaving — a\n"
       "partition that heals, or a gray node under lossy links — every run\n"
       "stays correct, goodput degrades smoothly with the loss volume, and\n"
       "cross-cut duplicates are reclaimed at protocol latency after the\n"

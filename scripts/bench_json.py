@@ -21,10 +21,9 @@ divided by a fixed pure-CPU calibration loop's rate measured in the same
 binary on the same machine (normalized_events_per_mop). Raw events/sec is
 recorded alongside for the trajectory table in EXPERIMENTS.md.
 
-Historic baseline blocks ("baseline_pre_pr4", then one "baseline_prN" per
-recorded PR) are carried forward verbatim from the previous JSON (via
---carry, which --check implies): the trajectory keeps every recorded point.
-The JSON also carries the E17 reclaim table, the E19 link-chaos table
+Each JSON holds only the live measurements; the historic baseline blocks
+("baseline_pre_pr4", "baseline_prN") stay in the earlier BENCH_PR*.json
+files that recorded them. The JSON also carries the E19 link-chaos table
 (goodput + reclaim latency under partition-heal and gray-failure churn)
 emitted by tab_scalability --perf-json, and a "wire" section with the
 codec's bytes/event, bytes/msg, and encode/decode ns/msg measured by
@@ -170,12 +169,9 @@ def main() -> int:
                         help="where to write the merged JSON")
     parser.add_argument("--full", action="store_true",
                         help="run the full (non --smoke) throughput sweep")
-    parser.add_argument("--carry", metavar="JSON",
-                        help="carry baseline_pre_pr4 forward from this file")
     parser.add_argument("--check", metavar="JSON",
                         help="compare against this recorded trajectory and "
-                             "fail on >threshold normalized regression "
-                             "(implies --carry JSON)")
+                             "fail on >threshold normalized regression")
     parser.add_argument("--threshold", type=float,
                         default=DEFAULT_DROP_THRESHOLD,
                         help="allowed fractional drop (default 0.20)")
@@ -189,23 +185,6 @@ def main() -> int:
         wire = wire_section(micro)
         if wire:
             merged["wire"] = wire
-
-    carry_from = args.carry or args.check
-    if carry_from and os.path.exists(carry_from):
-        with open(carry_from, encoding="utf-8") as f:
-            previous = json.load(f)
-        for block in ("baseline_pre_pr4", "baseline_pr4", "baseline_pr5",
-                      "baseline_pr6", "baseline_pr7", "baseline_pr8"):
-            if block in previous:
-                merged[block] = previous[block]
-        # First carry from the PR8 JSON: snapshot its live measurements as
-        # the "baseline_pr8" trajectory point.
-        if "baseline_pr8" not in previous and "throughput" in previous:
-            merged["baseline_pr8"] = {
-                "workload": previous.get("workload"),
-                "calibration_mops": previous.get("calibration_mops"),
-                "throughput": previous["throughput"],
-            }
 
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(merged, f, indent=2, sort_keys=False)

@@ -454,9 +454,7 @@ std::string SystemConfig::describe() const {
     }
   }
   if (!reclaim.cancellation) out << " cancel=off";
-  if (reclaim.gc_interval > 0) {
-    out << (reclaim.gc_oracle ? " gc-oracle=" : " gc=") << reclaim.gc_interval;
-  }
+  if (reclaim.gc_interval > 0) out << " gc-oracle=" << reclaim.gc_interval;
   if (transport.backend != net::TransportKind::kInProcess) {
     out << " transport=" << net::to_string(transport.backend);
   }

@@ -154,10 +154,10 @@ struct ReplicationConfig {
   }
 };
 
-/// Duplicate-task reclamation: the cancel protocol and its legacy
-/// sweep/oracle companion. Grouped because the three knobs describe one
-/// subsystem — how duplicate live tasks left behind by recovery get
-/// reclaimed, and how that reclamation is validated.
+/// Duplicate-task reclamation: the cancel protocol, the only reclaimer, and
+/// the read-only leak check that validates it. Grouped because the two knobs
+/// describe one subsystem — how duplicate live tasks left behind by recovery
+/// get reclaimed, and how that reclamation is checked.
 struct ReclaimConfig {
   /// First-class task-cancellation protocol. Recovery can leave *duplicate*
   /// live tasks — a reissue raced the original (undetected rejoin, pre-link
@@ -172,24 +172,17 @@ struct ReclaimConfig {
   /// Replicated depths are exempt: their copies are the redundancy.
   bool cancellation = true;
 
-  /// Legacy orphan-GC sweep period (ticks); 0 disables. The sweep reads
-  /// global simulator state — the omniscient ancestor of the cancel
-  /// protocol — and reclaims every duplicate copy except the one the live
-  /// parent's acknowledged slot points at. Kept as (a) the measured
-  /// baseline for E17 and (b) the cadence of the validation oracle below.
+  /// Leak-check period (ticks); 0 disables. At each tick the check reads
+  /// global simulator state and *identifies* every duplicate copy except
+  /// the one the live parent's acknowledged slot points at, but aborts
+  /// nothing; a duplicate still present at the next tick (cancel latency is
+  /// bounded by one network traversal, far below any sensible cadence)
+  /// counts as a protocol leak in Counters::gc_oracle_orphans. The enforced
+  /// invariant is the protocol's reach: no duplicate whose own parent
+  /// *instance* is live may persist. True orphans (the exact parent task is
+  /// gone) are excluded under a salvaging policy — they are §4.1 salvage
+  /// material, unreachable by any message until their results flow.
   std::int64_t gc_interval = 0;
-
-  /// Demote the sweep to a read-only validation oracle: at each
-  /// gc_interval tick it *identifies* the duplicates the old sweep would
-  /// have reclaimed but aborts nothing; a duplicate still present at the
-  /// next tick (cancel latency is bounded by one network traversal, far
-  /// below any sensible cadence) counts as a protocol leak in
-  /// Counters::gc_oracle_orphans. The enforced invariant is the protocol's
-  /// reach: no duplicate whose own parent *instance* is live may persist.
-  /// True orphans (the exact parent task is gone) are excluded under a
-  /// salvaging policy — they are §4.1 salvage material, unreachable by any
-  /// message until their results flow.
-  bool gc_oracle = false;
 };
 
 /// Which substrate moves envelopes (net/transport.h). kInProcess is the
@@ -226,7 +219,7 @@ struct ObsConfig {
 /// engine machinery on one worker and is the A/B determinism oracle for
 /// `shards > 1`. Engine mode rejects features whose semantics need the
 /// global event order (kTcp/kShmRing transports, kRestart/kPeriodicGlobal
-/// recovery, triggered faults, the legacy reclaiming GC sweep).
+/// recovery, triggered faults).
 struct ParallelConfig {
   std::uint32_t shards = 0;
 

@@ -29,7 +29,9 @@ struct Counters {
   std::uint64_t duplicate_results_ignored = 0;  // cases 6/7
   std::uint64_t late_results_discarded = 0;     // case 8 / unknown target
   std::uint64_t orphans_stranded = 0;      // undeliverable with no ancestor left
-  std::uint64_t orphans_gced = 0;          // duplicates reclaimed by legacy sweep
+  /// Always 0: nothing but the cancel protocol reclaims duplicates. Kept
+  /// only because perfbench/splice_bench.cpp digests it.
+  std::uint64_t orphans_gced = 0;
 
   // Cancellation protocol (kCancel, duplicate-lineage reclaim by message).
   std::uint64_t cancels_sent = 0;          // kCancel messages issued
@@ -39,10 +41,8 @@ struct Counters {
   std::uint64_t bounce_retransmits = 0;    // other protocol kinds re-sent
   std::uint64_t wire_dups_discarded = 0;   // duplicate task packets deduped
   std::uint64_t gc_oracle_orphans = 0;     // duplicates the oracle saw leak
-  /// Sum over reclaimed duplicates of (reclaim time - task creation time);
-  /// divide by tasks_cancelled + orphans_gced for the E17 mean reclaim
-  /// latency. Both reclaim paths use the same proxy, so sweep and cancel
-  /// runs compare like for like.
+  /// Sum over cancelled duplicates of (reclaim time - task creation time);
+  /// divide by tasks_cancelled for the mean reclaim latency.
   std::int64_t reclaim_latency_ticks = 0;
 
   // Functional checkpointing.
@@ -82,6 +82,7 @@ struct Counters {
   std::int64_t busy_ticks = 0;
 
   void merge(const Counters& other) noexcept;
+  bool operator==(const Counters&) const = default;
 };
 
 /// Result of one simulated run.

@@ -14,7 +14,7 @@
 //                  (§2.1: an applicative program has one value);
 //   task-leak      no duplicate lineage outlived the cancel protocol
 //                  (Counters::gc_oracle_orphans, fed by the read-only
-//                  validation sweep when ReclaimConfig::gc_oracle is on);
+//                  leak check when ReclaimConfig::gc_interval > 0);
 //   task-conservation
 //                  every accepted task is accounted for:
 //                    created == completed + aborted + lost_to_crash

@@ -916,8 +916,7 @@ void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin,
 // exact uid when the issuer holds an acknowledged pointer; the receiver
 // aborts the addressed task, releases the checkpoints it retained for its
 // own children, and forwards cancels down every outstanding call slot, so
-// the duplicate subtree converges hop by hop instead of level by level
-// under an omniscient sweep.
+// the duplicate subtree converges hop by hop.
 
 void Processor::send_cancel(const LevelStamp& stamp, std::uint32_t replica,
                             TaskUid uid, TaskRef parent, net::ProcId to) {

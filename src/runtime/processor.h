@@ -133,8 +133,7 @@ class Processor {
   /// Cancel a local task: abort it, release the checkpoint-table entries it
   /// retained for its own children, and forward kCancel messages down every
   /// outstanding call slot so the whole duplicate subtree converges by
-  /// message propagation (the protocol replacement for the old global
-  /// orphan-GC sweep).
+  /// message propagation, with no global view of the machine.
   void cancel_task(TaskUid uid, std::string_view reason);
   /// Deliver a direct-child result into a live local task (shared by the
   /// network path and policy relays).

@@ -476,12 +476,12 @@ void Runtime::schedule_scheduler_tick() {
 
 void Runtime::schedule_gc_tick() {
   if (config_.reclaim.gc_interval <= 0) return;
-  // The sweep reads global simulator state; a multi-process group has no
-  // omniscient observer (that is rather the point).
+  // The leak check reads global simulator state; a multi-process group has
+  // no omniscient observer (that is rather the point).
   if (network_.distributed()) return;
   sim_.after(sim::SimTime(config_.reclaim.gc_interval), [this] {
     if (done_) return;
-    gc_sweep();
+    gc_oracle_check(collect_gc_victims());
     schedule_gc_tick();
   });
 }
@@ -492,8 +492,8 @@ std::vector<Runtime::GcVictim> Runtime::collect_gc_victims() {
   // replica) keys across lanes even though every lane is wanted. The
   // (stamp, replica) grouping below cannot tell such by-design lanes from
   // protocol leaks, and replica lanes are reclaimed by the quorum/cancel
-  // machinery anyway — so the sweep (and the oracle built on it) stands
-  // down entirely when replication is on.
+  // machinery anyway — so the leak check stands down entirely when
+  // replication is on.
   if (config_.replication.enabled()) return {};
   // Recovery can race the machine into hosting the same (stamp, replica)
   // twice: a reissue fired while the original survived (undetected rejoin,
@@ -512,12 +512,10 @@ std::vector<Runtime::GcVictim> Runtime::collect_gc_victims() {
   // subtree by subtree.
   //
   // This pass reads global state directly — the simulator's omniscient
-  // view. In legacy mode it feeds the reclaim sweep; with the cancellation
-  // protocol it is demoted to the read-only validation oracle. Parent
-  // resolution goes through `tasks_by_stamp`, built in the same single
-  // iteration over live tasks, so the whole pass is O(live tasks) — the
-  // old per-duplicate scan over all processors made the retained oracle
-  // O(P · duplicates) at 256 processors.
+  // view — so it only ever feeds the read-only leak check; reclaiming is
+  // the cancel protocol's job. Parent resolution goes through
+  // `tasks_by_stamp`, built in the same single iteration over live tasks,
+  // so the whole pass is O(live tasks), independent of machine size.
   struct Copy {
     net::ProcId proc;
     TaskUid uid;
@@ -625,23 +623,6 @@ std::vector<Runtime::GcVictim> Runtime::collect_gc_victims() {
   return victims;
 }
 
-void Runtime::gc_sweep() {
-  std::vector<GcVictim> victims = collect_gc_victims();
-  if (config_.reclaim.gc_oracle) {
-    gc_oracle_check(victims);
-    return;
-  }
-  for (const GcVictim& victim : victims) {
-    Processor& host = *procs_[victim.proc];
-    Task* task = host.find_task(victim.uid);
-    if (task == nullptr) continue;
-    ++host.counters().orphans_gced;
-    host.counters().reclaim_latency_ticks +=
-        (sim_.now() - task->created_at()).ticks();
-    host.abort_task(victim.uid, "orphan-gc: duplicate of the linked copy");
-  }
-}
-
 void Runtime::gc_oracle_check(const std::vector<GcVictim>& victims) {
   // Read-only validation: the cancel protocol's propagation latency is
   // bounded by one network traversal per tree level, far below any
@@ -652,8 +633,8 @@ void Runtime::gc_oracle_check(const std::vector<GcVictim>& victims) {
   // True orphans — the exact parent task is gone — are excluded under a
   // salvaging policy: they are §4.1 salvage material ("returns from orphan
   // tasks are theoretically harmless"), reachable by no message until
-  // their results flow, and the old sweep's abort of them is exactly the
-  // omniscient shortcut this oracle exists to retire.
+  // their results flow, and aborting them from here would be an omniscient
+  // shortcut past the rule that every corrective step is a message.
   std::vector<std::pair<net::ProcId, TaskUid>> sightings;
   const bool salvaging = policy_->salvages_orphans();
   for (const GcVictim& victim : victims) {

@@ -264,7 +264,7 @@ class Runtime {
     return first_detection_ticks_;
   }
 
-  /// One identified duplicate copy (sweep victim / oracle sighting).
+  /// One identified duplicate copy (a leak-check sighting).
   struct GcVictim {
     net::ProcId proc = net::kNoProc;
     TaskUid uid = kNoTask;
@@ -320,17 +320,15 @@ class Runtime {
   void schedule_obs_sample();
   /// Live checkpoint entries across all healthy processors (gauge feed).
   [[nodiscard]] std::uint64_t checkpoint_resident_now() const;
-  /// Orphan GC (config.reclaim.gc_interval): periodically reclaim — or, in oracle
-  /// mode, merely identify — duplicate live tasks left behind by racing
-  /// recovery actions. See gc_sweep().
+  /// Leak check (config.reclaim.gc_interval): periodically identify — but
+  /// never reclaim — duplicate live tasks left behind by racing recovery
+  /// actions; reclaiming them is the cancel protocol's job.
   void schedule_gc_tick();
-  void gc_sweep();
-  /// The sweep's victim-selection pass, shared by the legacy reclaim mode
-  /// and the read-only validation oracle. Single pass over all live tasks;
-  /// parent resolution goes through a stamp-hash map built alongside, so
-  /// the cost is O(live tasks), independent of machine size.
+  /// The leak check's victim-selection pass. Single pass over all live
+  /// tasks; parent resolution goes through a stamp-hash map built
+  /// alongside, so the cost is O(live tasks), independent of machine size.
   [[nodiscard]] std::vector<GcVictim> collect_gc_victims();
-  /// Oracle tick: a victim sighted in two consecutive sweeps outlived the
+  /// Leak-check tick: a victim sighted at two consecutive ticks outlived the
   /// cancel protocol's bounded propagation — count it as a leak.
   void gc_oracle_check(const std::vector<GcVictim>& victims);
   [[nodiscard]] net::ProcId spawn_root_packet(TaskPacket packet);

@@ -63,15 +63,16 @@ std::int64_t EventQueue::next_occupied_offset(
   // Scan in *time* order: offsets map to bucket indices modulo kWindowSize,
   // so the walk is cyclic over the bitmap but monotone in time. Word steps
   // never straddle the array edge because kWindowSize is a multiple of 64.
+  // When base_ is not 64-aligned, the last word scanned also holds the
+  // window's first buckets (offsets before `from_offset`); a hit there
+  // lands at or past kWindowSize and means "none".
   std::int64_t off = from_offset;
   while (off < kWindowSize) {
     const std::size_t j =
         static_cast<std::size_t>(base_ + off) & (kWindowSize - 1);
     const std::uint64_t bits = occupied_[j >> 6] >> (j & 63);
     if (bits != 0) {
-      const std::int64_t hit = off + std::countr_zero(bits);
-      assert(hit < kWindowSize);
-      return hit;
+      return std::min(off + std::countr_zero(bits), kWindowSize);
     }
     off += 64 - static_cast<std::int64_t>(j & 63);
   }

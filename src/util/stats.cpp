@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace splice::util {
 
@@ -84,33 +83,6 @@ double Samples::percentile(double q) const {
   if (lo == hi) return sorted[lo];
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets == 0 ? 1 : buckets, 0) {}
-
-void Histogram::add(double x) noexcept {
-  const auto buckets = static_cast<double>(counts_.size());
-  double pos = (x - lo_) / (hi_ - lo_) * buckets;
-  pos = std::clamp(pos, 0.0, buckets - 1.0);
-  ++counts_[static_cast<std::size_t>(pos)];
-  ++total_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  const double step = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double lo = lo_ + step * static_cast<double>(i);
-    const auto bars = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    out << "[" << lo << ", " << lo + step << ") "
-        << std::string(bars, '#') << " " << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace splice::util

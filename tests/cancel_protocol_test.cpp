@@ -2,18 +2,19 @@
 //
 // The paper's recovery scheme never assumes global knowledge: every
 // corrective action travels as a message. These suites lock in the discard
-// case — duplicate-lineage reclaim by cancel propagation — with the old
-// omniscient sweep demoted to a read-only validation oracle:
+// case — duplicate-lineage reclaim by cancel propagation — checked by the
+// read-only leak check (reclaim.gc_interval):
 //
 //   * a 90-run chaos matrix (three duplicate-generating scenario families
-//     x victims x seeds) with sweeps disabled and the oracle armed: every
-//     run must complete correctly with zero oracle leaks, and the matrix
+//     x victims x seeds) with the leak check armed: every run must
+//     complete correctly with zero oracle leaks, and the matrix
 //     as a whole must actually exercise the protocol (cancels sent,
 //     duplicates reclaimed);
 //   * a property suite for cancels racing kStateChunk state transfer: a
 //     released checkpoint must never resurrect as a re-hosted task, and
 //     re-crashes mid-transfer must neither strand nor duplicate work;
-//   * determinism A/B (replay identity of the full cancel traffic);
+//   * determinism A/B (replay identity of the full cancel traffic), and
+//     leak check on vs. off (the check observes, it never acts);
 //   * regression guards for the cancel/ack races: stale-lineage acks and
 //     double releases of the striped checkpoint entry.
 #include <gtest/gtest.h>
@@ -32,9 +33,8 @@ namespace {
 using core::RunResult;
 using core::SystemConfig;
 
-/// Cancellation on, sweeps off, oracle armed: the configuration of the
-/// acceptance criterion ("with gc_interval sweeps disabled and cancellation
-/// enabled, the chaos matrix reclaims every duplicate").
+/// Cancellation on, leak check armed: the protocol must reclaim every
+/// duplicate of the chaos matrix on its own.
 SystemConfig cancel_config(std::uint64_t seed) {
   SystemConfig cfg;
   cfg.processors = 8;
@@ -43,16 +43,14 @@ SystemConfig cancel_config(std::uint64_t seed) {
   cfg.recovery.kind = core::RecoveryKind::kSplice;
   cfg.heartbeat_interval = 500;
   cfg.reclaim.cancellation = true;
-  cfg.reclaim.gc_interval = 400;  // oracle cadence, not a sweep
-  cfg.reclaim.gc_oracle = true;
+  cfg.reclaim.gc_interval = 400;  // leak-check cadence
   cfg.seed = seed;
   return cfg;
 }
 
-/// The duplicate generator inherited from the old orphan-GC suite: warm
-/// rejoin with an immediately-expiring pre-link grace, so re-hosted parents
-/// respawn surviving orphan subtrees as twins while the originals keep
-/// computing on their peers.
+/// The duplicate generator: warm rejoin with an immediately-expiring
+/// pre-link grace, so re-hosted parents respawn surviving orphan subtrees as
+/// twins while the originals keep computing on their peers.
 SystemConfig prelink_race_config(std::uint64_t seed) {
   SystemConfig cfg = cancel_config(seed);
   cfg.store.model = store::Persistency::kLocal;
@@ -83,7 +81,7 @@ void run_chaos(const SystemConfig& cfg, const lang::Program& program,
 }
 
 // 90 runs: 15 seeds x 6 fault injections across 3 scenario families,
-// oracle-on, sweeps disabled.
+// leak check on.
 TEST(CancelProtocol, ChaosMatrixReclaimsEveryDuplicate) {
   const auto program = lang::programs::tree_sum(6, 2, 400, 30);
   ChaosTotals totals;
@@ -148,9 +146,8 @@ TEST(CancelProtocol, ChaosMatrixReclaimsEveryDuplicate) {
   EXPECT_GT(totals.tasks_cancelled, 0U) << "no duplicate was reclaimed";
 }
 
-TEST(CancelProtocol, ReclaimsPrelinkRaceDuplicatesWithoutSweeps) {
-  // The flagship duplicate generator, protocol-only: with the sweep
-  // demoted to an oracle, reclaim must come from cancels.
+TEST(CancelProtocol, ReclaimsPrelinkRaceDuplicates) {
+  // The flagship duplicate generator: reclaim must come from cancels.
   const auto program = lang::programs::tree_sum(6, 2, 400, 30);
   std::uint64_t reclaimed = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -161,7 +158,6 @@ TEST(CancelProtocol, ReclaimsPrelinkRaceDuplicatesWithoutSweeps) {
     plan.with_rejoin(sim::SimTime(makespan / 10), net::RejoinMode::kWarm);
     const RunResult r = core::run_once(cfg, program, plan);
     EXPECT_TRUE(r.completed && r.answer_correct) << "seed " << seed;
-    EXPECT_EQ(r.counters.orphans_gced, 0U) << "oracle mode must not abort";
     EXPECT_EQ(r.counters.gc_oracle_orphans, 0U) << "seed " << seed;
     reclaimed += r.counters.tasks_cancelled;
   }
@@ -188,10 +184,68 @@ TEST(CancelProtocol, DeterministicReplay) {
             b.net.sent[static_cast<std::size_t>(net::MsgKind::kCancel)]);
 }
 
+TEST(LeakCheck, IsReadOnly) {
+  // The leak check reads every processor's tasks at each tick; it must
+  // never act on what it sees. The same seeded plans with the check on and
+  // off must agree on everything but the leak count itself.
+  const auto program = lang::programs::tree_sum(6, 2, 400, 30);
+  int flagged_runs = 0;
+  const auto expect_same = [&](SystemConfig cfg, const net::FaultPlan& plan,
+                               const std::string& label) {
+    const RunResult on = core::run_once(cfg, program, plan);
+    if (on.counters.gc_oracle_orphans > 0) ++flagged_runs;
+    cfg.reclaim.gc_interval = 0;
+    const RunResult off = core::run_once(cfg, program, plan);
+    EXPECT_EQ(on.answer, off.answer) << label;
+    EXPECT_EQ(on.makespan_ticks, off.makespan_ticks) << label;
+    EXPECT_EQ(on.stranded_tasks, off.stranded_tasks) << label;
+    EXPECT_EQ(on.net.total_sent(), off.net.total_sent()) << label;
+    core::Counters on_counters = on.counters;
+    on_counters.gc_oracle_orphans = 0;
+    EXPECT_EQ(on_counters, off.counters)
+        << label << "\n on: " << on.summary() << "\noff: " << off.summary();
+  };
+  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+    const std::string tag = " seed=" + std::to_string(seed);
+    {
+      SystemConfig cfg = prelink_race_config(seed);
+      const std::int64_t makespan =
+          core::Simulation::fault_free_makespan(cfg, program);
+      net::FaultPlan plan =
+          net::FaultPlan::single(3, sim::SimTime(makespan / 2));
+      plan.with_rejoin(sim::SimTime(makespan / 10), net::RejoinMode::kWarm);
+      expect_same(cfg, plan, "prelink" + tag);
+    }
+    {
+      SystemConfig cfg = cancel_config(seed);
+      cfg.processors = 16;
+      const std::int64_t makespan =
+          core::Simulation::fault_free_makespan(cfg, program);
+      net::FaultPlan plan = net::FaultPlan::partition(
+          net::RegionSpec::grid_rect(2, 0, 2, 4), sim::SimTime(makespan / 4),
+          sim::SimTime(makespan / 4));
+      plan.with_seed(seed);
+      expect_same(cfg, plan, "partition" + tag);
+    }
+    {
+      SystemConfig cfg = cancel_config(seed);
+      cfg.recovery.kind = core::RecoveryKind::kRollback;
+      cfg.reclaim.cancellation = false;
+      const std::int64_t makespan =
+          core::Simulation::fault_free_makespan(cfg, program);
+      const auto victim = static_cast<net::ProcId>((seed * 13) % 8);
+      expect_same(cfg,
+                  net::FaultPlan::single(victim, sim::SimTime(makespan / 2)),
+                  "rollback" + tag);
+    }
+  }
+  // The check must have had leaks to see, or "read-only" is vacuous.
+  EXPECT_GT(flagged_runs, 0);
+}
+
 TEST(CancelProtocol, ProtocolReclaimDoesNotIncreaseTotalWork) {
-  // The analog of the old sweep's waste test: reclaiming duplicates by
-  // message must not cost more scans than letting them run (and should
-  // usually cost fewer).
+  // Reclaiming duplicates by message must not cost more scans than letting
+  // them run (and should usually cost fewer).
   const auto program = lang::programs::tree_sum(6, 2, 400, 30);
   std::uint64_t scans_with = 0;
   std::uint64_t scans_without = 0;
@@ -200,8 +254,7 @@ TEST(CancelProtocol, ProtocolReclaimDoesNotIncreaseTotalWork) {
     SystemConfig cfg_on = prelink_race_config(seed);
     SystemConfig cfg_off = prelink_race_config(seed);
     cfg_off.reclaim.cancellation = false;
-    cfg_off.reclaim.gc_interval = 0;  // nothing reclaims
-    cfg_off.reclaim.gc_oracle = false;
+    cfg_off.reclaim.gc_interval = 0;
     const std::int64_t makespan =
         core::Simulation::fault_free_makespan(cfg_off, program);
     net::FaultPlan plan = net::FaultPlan::single(3, sim::SimTime(makespan / 2));

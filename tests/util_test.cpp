@@ -157,18 +157,6 @@ TEST(Samples, EmptyIsSafe) {
   EXPECT_EQ(s.min(), 0.0);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0, 10, 5);
-  h.add(-100);  // clamps to first bucket
-  h.add(0.5);
-  h.add(9.5);
-  h.add(100);  // clamps to last bucket
-  EXPECT_EQ(h.total(), 4U);
-  EXPECT_EQ(h.bucket(0), 2U);
-  EXPECT_EQ(h.bucket(4), 2U);
-  EXPECT_FALSE(h.render().empty());
-}
-
 TEST(Table, AsciiAlignmentAndCsvEscaping) {
   Table t({"name", "value"});
   t.set_title("demo");
