@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
   cfg.recovery.kind = core::RecoveryKind::kRollback;
   cfg.heartbeat_interval = 800;
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
 
   // Long-running tasks so every spawn happens while nothing completes: the
   // static snapshot the paper's figure depicts.
@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   // dies, which is recovery, not the figure).
   core::Simulation clean_sim(cfg, program);
   const core::RunResult clean = clean_sim.run();
-  const core::Trace& trace = clean_sim.trace();
 
   core::Simulation faulted_sim(cfg, program);
   faulted_sim.set_fault_plan(net::FaultPlan::single(/*B=*/1, sim::SimTime(makespan / 2)));
@@ -45,15 +44,24 @@ int main(int argc, char** argv) {
   auto pname = [](net::ProcId p) {
     return std::string(1, static_cast<char>('A' + p));
   };
+  // Visit the journaled events of one kind, oldest first, with their prose.
+  auto each = [](const core::Simulation& sim, obs::EventKind kind,
+                 const auto& fn) {
+    sim.recorder().for_each(
+        [&](const obs::Event& e, const std::string& detail) {
+          if (e.kind == kind) fn(e, detail);
+        });
+  };
 
   // Table 1: task placement.
   util::Table placement({"task", "processor (paper)", "processor (run)"});
   placement.set_title("Fig. 1 — call tree mapping");
   std::map<std::string, net::ProcId> placed;
-  for (const auto& e : trace.of_kind("place")) {
-    const std::string task = e.detail.substr(0, e.detail.find(' '));
-    if (!placed.contains(task)) placed[task] = e.proc;
-  }
+  each(clean_sim, obs::EventKind::kPlace,
+       [&](const obs::Event& e, const std::string& detail) {
+         const std::string task = detail.substr(0, detail.find(' '));
+         if (!placed.contains(task)) placed[task] = e.proc;
+       });
   for (const auto& node : lang::programs::figure1_nodes()) {
     placement.add_row({node.name, std::string(1, node.name[0]),
                        placed.contains(node.name) ? pname(placed[node.name])
@@ -64,12 +72,14 @@ int main(int argc, char** argv) {
   // Table 2: checkpoint distribution toward processor B.
   util::Table dist({"owner proc", "checkpoint", "outcome"});
   dist.set_title("Fig. 1 — functional checkpoints held against processor B");
-  for (const auto& e : trace.of_kind("checkpoint")) {
-    if (e.detail.find("entry P1") == std::string::npos) continue;
-    const bool subsumed = e.detail.find("subsumed") != std::string::npos;
-    dist.add_row({pname(e.proc), e.detail.substr(0, e.detail.find(" entry")),
-                  subsumed ? "subsumed (descendant of a topmost)" : "topmost"});
-  }
+  each(clean_sim, obs::EventKind::kCheckpoint,
+       [&](const obs::Event& e, const std::string& detail) {
+         if (detail.find("entry P1") == std::string::npos) return;
+         const bool subsumed = detail.find("subsumed") != std::string::npos;
+         dist.add_row({pname(e.proc), detail.substr(0, detail.find(" entry")),
+                       subsumed ? "subsumed (descendant of a topmost)"
+                                : "topmost"});
+       });
   bench::emit(dist, opt);
 
   // Table 3: recovery obligations executed when B died (faulted twin run).
@@ -77,12 +87,14 @@ int main(int argc, char** argv) {
   reissue.set_title(
       "Fig. 1 — reissue set after B fails mid-run (rollback; B tasks that "
       "already returned need no reissue)");
-  for (const auto& e : faulted_sim.trace().of_kind("reissue")) {
-    reissue.add_row({pname(e.proc), e.detail, "rollback"});
-  }
-  for (const auto& e : faulted_sim.trace().of_kind("twin")) {
-    reissue.add_row({pname(e.proc), e.detail, "step-parent"});
-  }
+  each(faulted_sim, obs::EventKind::kReissue,
+       [&](const obs::Event& e, const std::string& detail) {
+         reissue.add_row({pname(e.proc), detail, "rollback"});
+       });
+  each(faulted_sim, obs::EventKind::kTwin,
+       [&](const obs::Event& e, const std::string& detail) {
+         reissue.add_row({pname(e.proc), detail, "step-parent"});
+       });
   bench::emit(reissue, opt);
 
   std::printf("fault-free: %s\nfaulted   : %s\n", clean.summary().c_str(),

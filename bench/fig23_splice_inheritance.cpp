@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
   cfg.recovery.kind = core::RecoveryKind::kSplice;
   cfg.heartbeat_interval = 800;
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
 
   const lang::Program program = lang::programs::figure1_tree(2500);
   const std::int64_t makespan =
@@ -36,15 +36,17 @@ int main(int argc, char** argv) {
 
   util::Table events({"t", "proc", "event", "detail"});
   events.set_title("Figs. 2/3 — splice recovery narrative (B dies mid-run)");
-  for (const auto& e : sim.trace().events()) {
-    if (e.kind != "crash" && e.kind != "detect" && e.kind != "twin" &&
-        e.kind != "relay" && e.kind != "salvage" && e.kind != "reissue" &&
-        e.kind != "stranded") {
-      continue;
+  sim.recorder().for_each([&](const obs::Event& e, const std::string& detail) {
+    using obs::EventKind;
+    if (e.kind != EventKind::kCrash && e.kind != EventKind::kDetect &&
+        e.kind != EventKind::kTwin && e.kind != EventKind::kRelay &&
+        e.kind != EventKind::kSalvage && e.kind != EventKind::kReissue &&
+        e.kind != EventKind::kStranded) {
+      return;
     }
-    events.add_row({util::Table::num(e.ticks), pname(e.proc), e.kind,
-                    e.detail});
-  }
+    events.add_row({util::Table::num(e.ticks), pname(e.proc),
+                    std::string(obs::to_string(e.kind)), detail});
+  });
   bench::emit(events, opt);
 
   util::Table summary({"metric", "value"});

@@ -1,33 +1,27 @@
-// E11 — scalability: processors 2..256 across topologies.
-// E16 — simulator throughput: the recorded perf trajectory.
-// E19 — goodput + reclaim latency under link-level chaos (partition-and-heal
-//       and gray-failure churn) at 128/256 processors.
-// E20 — flight-recorder cost + the recovery story as a time series: E19's
-//       partition-heal at 128 processors with the recorder on, reported as
-//       per-window goodput and latency quantiles, plus the recorder's
-//       throughput overhead (off vs. on) on the E16 workload.
+// E11 — scalability: 2..256 processors across topologies under one mid-run fault, then
+//       64..256 processors under recurring (Poisson) faults with repair.
+// E19 — goodput + reclaim latency under link-level chaos (partition-and-heal, gray churn).
+// E20 — the recovery story as a recorder time series, and the recorder's throughput tax.
+// E16 — simulator throughput: events/sec, heap allocations per event (global counting
+//       allocator in this binary) and peak RSS at 32..256 processors.
+// E21 — sharded-engine scaling and the scheduler x workload matrix.
 //
-// The paper positions applicative systems as "promising candidates for
-// achieving high performance computing through aggregation of processors"
-// (§1); recovery must not destroy that scaling. Table 1: machine size x
-// topology — fault-free makespan/speedup, recovery latency and
-// error-broadcast traffic for a mid-run fault. Table 2: the 64- to
-// 256-processor machines under recurring (Poisson) fault *rates* with
-// repair, the regime large fleets actually live in. Table 3 (E16): wall-
-// clock throughput of the simulator itself — events/sec, heap allocations
-// per event (global counting allocator in this binary), and peak RSS — at
-// 32/64/128/256 processors. `--perf-json PATH` dumps table 3 as JSON;
-// scripts/bench_json.py wraps it into BENCH_PR9.json and enforces the
-// regression guard.
+// Recovery must not destroy the scaling that makes applicative systems worth building (§1).
+// Each table is a column list (header, JSON key, digits, metric) rendering both its ASCII/CSV
+// rows and, under `--perf-json PATH`, its JSON objects for scripts/bench_json.py.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <new>
 #include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "bench/harness.h"
 #include "sim/inplace_function.h"
@@ -98,37 +92,177 @@ double calibration_mops() {
          std::chrono::duration<double>(t1 - t0).count() / 1e6;
 }
 
-struct ThroughputRow {
-  std::uint32_t procs = 0;
-  double events_per_sec = 0;
-  double allocs_per_event = 0;
-  std::uint64_t events = 0;
-  long peak_rss_kb = 0;
-  std::uint64_t checkpoint_peak = 0;
-  std::uint64_t eventfn_heap_fallbacks = 0;
-};
-
 [[nodiscard]] long peak_rss_kb() {
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
   return ru.ru_maxrss;
 }
 
+// ---- column-driven tables ----------------------------------------------------------------
+
+/// A cell: a number printed with its column's digits, or text.
+using Value = std::variant<double, std::string>;
+
+/// Every numeric cell is a double.
+template <typename T>
+double d(T v) { return static_cast<double>(v); }
+
+std::string ratio(long n, long of) { return std::to_string(n) + "/" + std::to_string(of); }
+
+template <typename Row>
+struct Column {
+  const char* header;  // nullptr: --perf-json only
+  const char* key;     // nullptr: table only
+  int digits;          // decimals of a numeric value
+  std::function<Value(const Row&)> metric;
+
+  /// The rendered value; `quoted` wraps text in JSON string quotes.
+  [[nodiscard]] std::string cell(const Row& row, bool quoted = false) const {
+    const Value v = metric(row);
+    if (const auto* text = std::get_if<std::string>(&v)) return quoted ? '"' + *text + '"' : *text;
+    return util::Table::num(std::get<double>(v), digits);
+  }
+};
+
+template <typename Row>
+using Columns = std::vector<Column<Row>>;
+
+/// A column over one numeric member of the row.
+template <typename Row, typename T>
+Column<Row> field(const char* header, T Row::*member, const char* key, int digits = 0) {
+  return {header, key, digits, [member](const Row& r) -> Value { return d(r.*member); }};
+}
+
+/// Prints every `stride`-th row under the columns that have a header.
+template <typename Row>
+void emit_table(const char* title, const Columns<Row>& cols, const std::vector<Row>& rows,
+                const bench::Options& opt, std::size_t stride = 1) {
+  std::vector<std::string> headers;
+  for (const auto& c : cols) {
+    if (c.header != nullptr) headers.emplace_back(c.header);
+  }
+  util::Table table(std::move(headers));
+  table.set_title(title);
+  for (std::size_t i = 0; i < rows.size(); i += stride) {
+    std::vector<std::string> cells;
+    for (const auto& c : cols) {
+      if (c.header != nullptr) cells.push_back(c.cell(rows[i]));
+    }
+    table.add_row(std::move(cells));
+  }
+  bench::emit(table, opt);
+}
+
+/// Writes `rows` as JSON array elements, one object per line, over the columns with a key.
+template <typename Row>
+void json_rows(std::FILE* out, const Columns<Row>& cols, const std::vector<Row>& rows) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::string line;
+    for (const auto& c : cols) {
+      if (c.key == nullptr) continue;
+      line += line.empty() ? "{\"" : ", \"";
+      line += c.key;
+      line += "\": ";
+      line += c.cell(rows[i], /*quoted=*/true);
+    }
+    std::fprintf(out, "    %s}%s\n", line.c_str(), i + 1 < rows.size() ? "," : "");
+  }
+}
+
+// ---- replicate tables (E11, E19) ---------------------------------------------------------
+
+using Rep = bench::Replicate;
+
+/// One swept point: its parameters and its seeded replicates.
+struct Point {
+  std::uint32_t procs = 0;
+  std::string label;  // topology or scenario
+  double faults = 0;  // expected faults per run (recurring-fault table)
+  std::vector<Rep> reps;
+};
+
+/// A column holding the replicate mean of `metric`.
+Column<Point> mean(const char* header, const char* key, int digits, double (*metric)(const Rep&)) {
+  return {header, key, digits,
+          [metric](const Point& p) -> Value { return bench::mean_of(p.reps, metric); }};
+}
+
+const Column<Point> kProcs{"procs", "procs", 0, [](const Point& p) -> Value { return d(p.procs); }};
+
+Column<Point> correct(const char* header) {
+  return {header, nullptr, 0, [](const Point& p) -> Value {
+            return ratio(bench::correct_count(p.reps), static_cast<long>(p.reps.size()));
+          }};
+}
+
+double slowdown_of(const Rep& r) { return d(r.result.makespan_ticks) / d(r.clean_makespan); }
+double cancelled_of(const Rep& r) { return d(r.result.counters.tasks_cancelled); }
+double error_msgs_of(const Rep& r) {
+  return d(r.result.net.sent[static_cast<std::size_t>(net::MsgKind::kErrorDetection)]);
+}
+
+/// E19/E20's cut: the far corner's 2-hop neighbourhood, from makespan/4 for makespan/3.
+net::FaultPlan corner_partition(std::uint32_t procs, std::int64_t makespan, std::uint64_t seed) {
+  return net::FaultPlan::partition(
+             net::RegionSpec::neighborhood(static_cast<net::ProcId>(procs - 1), 2),
+             sim::SimTime(makespan / 4), sim::SimTime(makespan / 3))
+      .with_seed(seed * 31 + 7);
+}
+
+// ---- timed throughput (E20b, E16, E21) ---------------------------------------------------
+
+/// One throughput row (E16 fills procs and the resources, E21 workload/scheduler/shards).
+struct Timed {
+  const char* workload = nullptr;
+  const char* scheduler = nullptr;
+  std::uint32_t procs = 0, shards = 0;
+  double events_per_sec = 0, allocs_per_event = 0;
+  std::uint64_t events = 0, checkpoint_peak = 0, eventfn_heap_fallbacks = 0;
+  int correct = 0, runs = 0;
+  long peak_rss_kb = 0;
+};
+
+/// `program` on `cfg`, one crash of processor procs/3 at half the fault-free makespan: after
+/// a warm-up, the best events/sec of `batches` timed batches of `reps` runs seeded 71, 72, ...
+/// Batches replay the same seeds, so the counts (per-run means) are the last batch's.
+Timed best_of(core::SystemConfig cfg, const lang::Program& program, int batches, int reps) {
+  const net::FaultPlan plan = net::FaultPlan::single(
+      static_cast<net::ProcId>(cfg.processors / 3),
+      sim::SimTime(core::Simulation::fault_free_makespan(cfg, program) / 2));
+  (void)core::run_once(cfg, program, plan);  // warm-up
+  const std::uint64_t spills0 = sim::EventFn::heap_fallbacks();
+  const unsigned long long allocs0 = g_allocs.load();
+  Timed best;
+  for (int batch = 0; batch < batches; ++batch) {
+    Timed t;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < reps; ++i) {
+      cfg.seed = 71 + static_cast<std::uint64_t>(i);
+      const core::RunResult r = core::run_once(cfg, program, plan);
+      t.events += r.sim_events;
+      t.checkpoint_peak += r.counters.checkpoint_peak_entries;
+      ++t.runs;
+      if (r.completed && r.answer_correct) ++t.correct;
+    }
+    const std::chrono::duration<double> secs = std::chrono::steady_clock::now() - t0;
+    t.events_per_sec = std::max(best.events_per_sec, d(t.events) / secs.count());
+    best = t;
+  }
+  best.allocs_per_event = d(g_allocs.load() - allocs0) / d(batches * best.events);
+  best.eventfn_heap_fallbacks = sim::EventFn::heap_fallbacks() - spills0;
+  best.events /= static_cast<std::uint64_t>(reps);
+  best.checkpoint_peak /= static_cast<std::uint64_t>(reps);
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Options opt = bench::Options::parse(argc, argv);
-  const char* perf_json = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--perf-json") == 0 && i + 1 < argc) {
-      perf_json = argv[i + 1];
-    }
-  }
+  const bench::Options opt = bench::Options::parse(argc, argv, /*takes_perf_json=*/true);
+  double calib = 0;  // calibration_mops(), measured only for --perf-json
 
   const lang::Program program = lang::programs::tree_sum(6, 2, 400, 30);
-
-  auto config_for = [&](std::uint32_t procs, net::TopologyKind topo,
-                        std::uint64_t seed) {
+  auto config_for = [&](std::uint32_t procs, net::TopologyKind topo, std::uint64_t seed) {
     core::SystemConfig cfg;
     cfg.processors = procs;
     cfg.topology = topo;
@@ -139,663 +273,313 @@ int main(int argc, char** argv) {
     return cfg;
   };
 
-  // Serial reference: one processor.
-  auto serial = bench::run_replicates(
-      2, program,
-      [&](std::uint64_t s) {
-        return config_for(1, net::TopologyKind::kComplete, s);
-      });
+  // ---- E11: machine size x topology under one mid-run fault --------------------------------
+  // Makespan is the fault-free twins'; speedup is against the one-processor machine.
+  const auto serial = bench::run_replicates(
+      2, program, [&](std::uint64_t s) { return config_for(1, net::TopologyKind::kComplete, s); });
   const double serial_makespan =
-      bench::mean_of(serial, [](const bench::Replicate& r) {
-        return static_cast<double>(r.result.makespan_ticks);
-      });
-
-  util::Table table({"procs", "topology", "makespan", "speedup",
-                     "faulted correct", "recovery latency", "error msgs"});
-  table.set_title("scalability — machine size x topology under one fault");
-
+      bench::mean_of(serial, [](const Rep& r) { return d(r.result.makespan_ticks); });
+  std::vector<Point> scale_rows;
   for (std::uint32_t procs : {2U, 4U, 8U, 16U, 32U, 64U, 128U, 256U}) {
     for (auto topo : {net::TopologyKind::kMesh2D, net::TopologyKind::kTorus2D,
                       net::TopologyKind::kHypercube}) {
-      if (topo == net::TopologyKind::kHypercube &&
-          (procs & (procs - 1)) != 0) {
-        continue;
-      }
-      auto clean = bench::run_replicates(
-          opt.replicates, program,
-          [&](std::uint64_t s) { return config_for(procs, topo, s); });
-      auto faulted = bench::run_replicates(
-          opt.replicates, program,
-          [&](std::uint64_t s) { return config_for(procs, topo, s); },
-          [&](const core::SystemConfig& cfg, std::int64_t makespan,
-              std::uint64_t seed) {
-            const auto victim =
-                static_cast<net::ProcId>((seed * 17 + 3) % cfg.processors);
-            return net::FaultPlan::single(victim, sim::SimTime(makespan / 2));
-          });
-      const double makespan =
-          bench::mean_of(clean, [](const bench::Replicate& r) {
-            return static_cast<double>(r.result.makespan_ticks);
-          });
-      table.add_row(
-          {util::Table::num(static_cast<std::uint64_t>(procs)),
-           std::string(net::to_string(topo)), util::Table::num(makespan, 0),
-           util::Table::num(serial_makespan / makespan, 2),
-           std::to_string(bench::correct_count(faulted)) + "/" +
-               std::to_string(static_cast<int>(faulted.size())),
-           util::Table::num(bench::mean_of(faulted,
-                                           [](const bench::Replicate& r) {
-                                             return static_cast<double>(
-                                                 r.result.makespan_ticks -
-                                                 r.clean_makespan);
-                                           }),
-                            0),
-           util::Table::num(
-               bench::mean_of(faulted,
-                              [](const bench::Replicate& r) {
-                                return static_cast<double>(
-                                    r.result.net.sent[static_cast<std::size_t>(
-                                        net::MsgKind::kErrorDetection)]);
-                              }),
-               0)});
+      if (topo == net::TopologyKind::kHypercube && (procs & (procs - 1)) != 0) continue;
+      scale_rows.push_back(
+          {procs, std::string(net::to_string(topo)), 0,
+           bench::run_replicates(
+               opt.replicates, program, [&](std::uint64_t s) { return config_for(procs, topo, s); },
+               [](const core::SystemConfig& cfg, std::int64_t makespan, std::uint64_t seed) {
+                 const auto victim = static_cast<net::ProcId>((seed * 17 + 3) % cfg.processors);
+                 return net::FaultPlan::single(victim, sim::SimTime(makespan / 2));
+               })});
     }
   }
-  bench::emit(table, opt);
+  const auto clean_makespan = [](const Point& p) {
+    return bench::mean_of(p.reps, [](const Rep& r) { return d(r.clean_makespan); });
+  };
+  emit_table<Point>(
+      "scalability — machine size x topology under one fault",
+      {kProcs, {"topology", nullptr, 0, [](const Point& p) -> Value { return p.label; }},
+       {"makespan", nullptr, 0, [&](const Point& p) -> Value { return clean_makespan(p); }},
+       {"speedup", nullptr, 2,
+        [&](const Point& p) -> Value { return serial_makespan / clean_makespan(p); }},
+       correct("faulted correct"),
+       mean("recovery latency", nullptr, 0,
+            [](const Rep& r) { return d(r.result.makespan_ticks - r.clean_makespan); }),
+       mean("error msgs", nullptr, 0, error_msgs_of)},
+      scale_rows, opt);
 
-  // ---- 64..256 processors under Poisson fault rates with repair -----------
-  // Driven by the recurring fault plans: background failures arrive at a
-  // mean interval over the whole machine and every victim is repaired, so
-  // the machine hovers below full strength instead of draining. The cancel
-  // protocol runs here (sweeps off): recovery under churn is what leaves
-  // duplicate tasks behind, and their reclaim is now protocol traffic.
-  util::Table churn({"procs", "faults/run", "kills", "revived", "correct",
-                     "reissued", "cancelled", "cancel msgs", "error msgs",
-                     "slowdown", "alive at end"});
-  churn.set_title("large machines under recurring faults + repair");
-  // The Poisson mean interval is derived from the fault-free makespan so a
-  // row targets a fault *rate* (expected faults per run) independent of how
-  // fast the machine happens to be.
-  const std::vector<double> rates =
-      opt.quick ? std::vector<double>{4} : std::vector<double>{4, 8};
+  // ---- 64..256 processors under Poisson fault rates with repair ----------------------------
+  // Failures arrive over the whole machine and every victim is repaired, so it hovers below
+  // full strength instead of draining. The mean interval derives from the fault-free
+  // makespan, so a row targets a fault *rate* (expected faults per run).
+  std::vector<Point> churn_rows;
   for (std::uint32_t procs : {64U, 128U, 256U}) {
-    for (double expected_faults : rates) {
-      auto reps = bench::run_replicates(
-          opt.replicates, program,
-          [&](std::uint64_t s) {
-            return config_for(procs, net::TopologyKind::kTorus2D, s);
-          },
-          [&](const core::SystemConfig&, std::int64_t makespan,
-              std::uint64_t seed) {
-            net::RecurringFault arrivals;
-            arrivals.start = sim::SimTime(makespan / 5);
-            arrivals.stop = sim::SimTime(makespan * 2);
-            arrivals.mean_interval =
-                static_cast<double>(makespan) / expected_faults;
-            arrivals.max_faults = 24;
-            net::FaultPlan plan = net::FaultPlan::poisson(arrivals);
-            plan.with_rejoin(sim::SimTime(makespan / 6));
-            plan.with_seed(seed * 29 + 13);
-            return plan;
-          });
-      auto mean = [&](auto metric) { return bench::mean_of(reps, metric); };
-      churn.add_row(
-          {util::Table::num(static_cast<std::uint64_t>(procs)),
-           util::Table::num(expected_faults, 0),
-           util::Table::num(mean([](const bench::Replicate& r) {
-                              return static_cast<double>(
-                                  r.result.faults_injected);
-                            }),
-                            1),
-           util::Table::num(mean([](const bench::Replicate& r) {
-                              return static_cast<double>(
-                                  r.result.nodes_revived);
-                            }),
-                            1),
-           std::to_string(bench::correct_count(reps)) + "/" +
-               std::to_string(static_cast<int>(reps.size())),
-           util::Table::num(mean([](const bench::Replicate& r) {
-                              return static_cast<double>(
-                                  r.result.counters.tasks_respawned);
-                            }),
-                            1),
-           util::Table::num(mean([](const bench::Replicate& r) {
-                              return static_cast<double>(
-                                  r.result.counters.tasks_cancelled);
-                            }),
-                            1),
-           util::Table::num(mean([](const bench::Replicate& r) {
-                              return static_cast<double>(
-                                  r.result.counters.cancels_sent);
-                            }),
-                            1),
-           util::Table::num(
-               mean([](const bench::Replicate& r) {
-                 return static_cast<double>(
-                     r.result.net.sent[static_cast<std::size_t>(
-                         net::MsgKind::kErrorDetection)]);
-               }),
-               0),
-           util::Table::num(mean([](const bench::Replicate& r) {
-                              return static_cast<double>(
-                                         r.result.makespan_ticks) /
-                                     static_cast<double>(r.clean_makespan);
-                            }),
-                            2),
-           util::Table::num(mean([](const bench::Replicate& r) {
-                              return static_cast<double>(
-                                  r.result.processors_alive_at_end);
-                            }),
-                            1)});
+    for (double faults : opt.quick ? std::vector<double>{4} : std::vector<double>{4, 8}) {
+      churn_rows.push_back(
+          {procs, "", faults,
+           bench::run_replicates(
+               opt.replicates, program,
+               [&](std::uint64_t s) { return config_for(procs, net::TopologyKind::kTorus2D, s); },
+               [&](const core::SystemConfig&, std::int64_t makespan, std::uint64_t seed) {
+                 return net::FaultPlan::poisson({.candidates = {},  // the whole machine
+                                                 .start = sim::SimTime(makespan / 5),
+                                                 .stop = sim::SimTime(makespan * 2),
+                                                 .mean_interval = d(makespan) / faults,
+                                                 .max_faults = 24})
+                     .with_rejoin(sim::SimTime(makespan / 6))
+                     .with_seed(seed * 29 + 13);
+               })});
     }
   }
-  bench::emit(churn, opt);
+  emit_table<Point>(
+      "large machines under recurring faults + repair",
+      {kProcs, {"faults/run", nullptr, 0, [](const Point& p) -> Value { return p.faults; }},
+       mean("kills", nullptr, 1, [](const Rep& r) { return d(r.result.faults_injected); }),
+       mean("revived", nullptr, 1, [](const Rep& r) { return d(r.result.nodes_revived); }),
+       correct("correct"),
+       mean("reissued", nullptr, 1,
+            [](const Rep& r) { return d(r.result.counters.tasks_respawned); }),
+       mean("cancelled", nullptr, 1, cancelled_of),
+       mean("cancel msgs", nullptr, 1,
+            [](const Rep& r) { return d(r.result.counters.cancels_sent); }),
+       mean("error msgs", nullptr, 0, error_msgs_of), mean("slowdown", nullptr, 2, slowdown_of),
+       mean("alive at end", nullptr, 1,
+            [](const Rep& r) { return d(r.result.processors_alive_at_end); })},
+      churn_rows, opt);
 
-  // E19 and E20 run deeper trees than the scalability workload: duplicate
-  // races need enough concurrent subtrees per processor for a fault to
-  // actually collide, so the tree grows with the machine (~8+ tasks per
-  // processor).
+  // E19/E20 grow the tree with the machine (~8+ tasks per processor): duplicate races need
+  // enough concurrent subtrees per processor for a fault to actually collide.
   const auto reclaim_program_for = [](std::uint32_t procs) {
-    return lang::programs::tree_sum(procs >= 256 ? 11 : procs >= 128 ? 10 : 9,
-                                    2, 400, 30);
+    return lang::programs::tree_sum(procs >= 256 ? 11 : procs >= 128 ? 10 : 9, 2, 400, 30);
+  };
+  const auto reclaim_config_for = [&](std::uint32_t procs, std::uint64_t seed) {
+    core::SystemConfig cfg = config_for(procs, net::TopologyKind::kTorus2D, seed);
+    cfg.reclaim.cancellation = true;
+    cfg.reclaim.gc_interval = 0;  // protocol reclaim only
+    return cfg;
   };
 
-  // ---- E19: goodput + reclaim latency under link-level chaos --------------
-  // No processor dies in either scenario; the wire itself misbehaves.
-  // "partition-heal" cuts the far corner's 2-hop neighbourhood off for a
-  // window sized off the fault-free makespan — both sides declare each
-  // other dead, reissue each other's subtrees, then reconcile on the heal,
-  // so the cancel protocol has real duplicates to reclaim. "gray-churn"
-  // starves one node's payload traffic (heartbeats still flow: detection
-  // must stay silent) on top of background lossy links. Goodput is
-  // completed tasks per kilotick of makespan — the rate useful work keeps
-  // landing while the links misbehave; reclaim latency is mean ticks from a
-  // cancelled duplicate's creation to its abort.
-  struct E19Row {
-    std::uint32_t procs = 0;
-    const char* scenario = nullptr;
-    int correct = 0;
-    int runs = 0;
-    double goodput = 0;    // completed tasks per 1000 ticks
-    double slowdown = 0;   // makespan vs. the fault-free reference
-    double reclaimed = 0;  // duplicates reclaimed (cancel protocol)
-    double latency = 0;    // mean ticks creation -> reclaim
-    double msgs_lost = 0;  // partition_cut + link_dropped + gray_dropped
-    double cancel_msgs = 0;
-  };
-  std::vector<E19Row> e19_rows;
-  util::Table chaos({"procs", "scenario", "correct", "goodput/ktick",
-                     "slowdown", "reclaimed", "reclaim latency", "msgs lost",
-                     "cancel msgs"});
-  chaos.set_title(
-      "E19 goodput under link-level chaos — partition-and-heal vs. "
-      "gray-failure churn (no crashes)");
-  const std::vector<std::uint32_t> e19_sizes =
-      opt.quick ? std::vector<std::uint32_t>{128U}
-                : std::vector<std::uint32_t>{128U, 256U};
-  for (std::uint32_t procs : e19_sizes) {
-    const lang::Program chaos_program = reclaim_program_for(procs);
+  // ---- E19: goodput + reclaim latency under link-level chaos -------------------------------
+  // No processor dies. "partition-heal" cuts the far corner off, so both sides reissue each
+  // other's subtrees and the cancel protocol reclaims the duplicates after the heal;
+  // "gray-churn" starves one node's payload traffic (heartbeats flow: detection must stay
+  // silent). Goodput is completed tasks per kilotick; reclaim latency is creation -> abort.
+  std::vector<Point> e19_rows;
+  for (std::uint32_t procs :
+       opt.quick ? std::vector<std::uint32_t>{128U} : std::vector<std::uint32_t>{128U, 256U}) {
     for (const bool gray_mode : {false, true}) {
-      auto reps = bench::run_replicates(
-          opt.replicates, chaos_program,
-          [&](std::uint64_t s) {
-            core::SystemConfig cfg =
-                config_for(procs, net::TopologyKind::kTorus2D, s);
-            cfg.reclaim.cancellation = true;
-            cfg.reclaim.gc_interval = 0;  // protocol reclaim only
-            return cfg;
-          },
-          [&](const core::SystemConfig& cfg, std::int64_t makespan,
-              std::uint64_t seed) {
-            if (!gray_mode) {
-              return net::FaultPlan::partition(
-                         net::RegionSpec::neighborhood(
-                             static_cast<net::ProcId>(cfg.processors - 1), 2),
-                         sim::SimTime(makespan / 4),
-                         sim::SimTime(makespan / 3))
-                  .with_seed(seed * 31 + 7);
-            }
-            net::GraySpec g;
-            g.node = static_cast<net::ProcId>(cfg.processors / 2);
-            g.start = sim::SimTime(makespan / 6);
-            net::LinkQuality q;  // background lossy wire under the gray node
-            q.drop_p = 0.02;
-            q.reorder_p = 0.04;
-            q.jitter = 10;
-            net::FaultPlan plan = net::FaultPlan::gray(g);
-            plan.merge(net::FaultPlan::link(q));
-            plan.with_seed(seed * 31 + 7);
-            return plan;
-          });
-      auto mean = [&](auto metric) { return bench::mean_of(reps, metric); };
-      E19Row row;
-      row.procs = procs;
-      row.scenario = gray_mode ? "gray-churn" : "partition-heal";
-      row.correct = bench::correct_count(reps);
-      row.runs = static_cast<int>(reps.size());
-      row.goodput = mean([](const bench::Replicate& r) {
-        return r.result.makespan_ticks == 0
-                   ? 0.0
-                   : static_cast<double>(r.result.counters.tasks_completed) *
-                         1000.0 /
-                         static_cast<double>(r.result.makespan_ticks);
-      });
-      row.slowdown = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.makespan_ticks) /
-               static_cast<double>(r.clean_makespan);
-      });
-      row.reclaimed = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.counters.tasks_cancelled);
-      });
-      row.latency = mean([](const bench::Replicate& r) {
-        const auto n = r.result.counters.tasks_cancelled;
-        return n == 0 ? 0.0
-                      : static_cast<double>(
-                            r.result.counters.reclaim_latency_ticks) /
-                            static_cast<double>(n);
-      });
-      row.msgs_lost = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.net.partition_cut +
-                                   r.result.net.link_dropped +
-                                   r.result.net.gray_dropped);
-      });
-      row.cancel_msgs = mean([](const bench::Replicate& r) {
-        return static_cast<double>(r.result.net.sent[static_cast<std::size_t>(
-            net::MsgKind::kCancel)]);
-      });
-      e19_rows.push_back(row);
-      chaos.add_row(
-          {util::Table::num(static_cast<std::uint64_t>(procs)),
-           std::string(row.scenario),
-           std::to_string(row.correct) + "/" + std::to_string(row.runs),
-           util::Table::num(row.goodput, 2),
-           util::Table::num(row.slowdown, 2),
-           util::Table::num(row.reclaimed, 1),
-           util::Table::num(row.latency, 0),
-           util::Table::num(row.msgs_lost, 0),
-           util::Table::num(row.cancel_msgs, 1)});
+      e19_rows.push_back(
+          {procs, gray_mode ? "gray-churn" : "partition-heal", 0,
+           bench::run_replicates(
+               opt.replicates, reclaim_program_for(procs),
+               [&](std::uint64_t s) { return reclaim_config_for(procs, s); },
+               [&](const core::SystemConfig& cfg, std::int64_t makespan, std::uint64_t seed) {
+                 if (!gray_mode) return corner_partition(cfg.processors, makespan, seed);
+                 // The gray node sits on a background lossy wire.
+                 return net::FaultPlan::gray({.node = static_cast<net::ProcId>(cfg.processors / 2),
+                                              .start = sim::SimTime(makespan / 6)})
+                     .merge(net::FaultPlan::link(
+                         {.drop_p = 0.02, .reorder_p = 0.04, .jitter = 10, .start = {}}))
+                     .with_seed(seed * 31 + 7);
+               })});
     }
   }
-  bench::emit(chaos, opt);
+  const Columns<Point> e19_cols{
+      kProcs,
+      {"scenario", "scenario", 0, [](const Point& p) -> Value { return p.label; }},
+      correct("correct"),
+      {nullptr, "correct", 0,
+       [](const Point& p) -> Value { return d(bench::correct_count(p.reps)); }},
+      {nullptr, "runs", 0, [](const Point& p) -> Value { return d(p.reps.size()); }},
+      mean("goodput/ktick", "goodput_tasks_per_ktick_mean", 2, [](const Rep& r) {
+        const auto ticks = r.result.makespan_ticks;
+        return ticks == 0 ? 0.0 : d(r.result.counters.tasks_completed) * 1000.0 / d(ticks);
+      }),
+      mean("slowdown", "slowdown_mean", 2, slowdown_of),
+      mean("reclaimed", "reclaimed_mean", 1, cancelled_of),
+      mean("reclaim latency", "reclaim_latency_ticks_mean", 0, [](const Rep& r) {
+        const auto n = r.result.counters.tasks_cancelled;
+        return n == 0 ? 0.0 : d(r.result.counters.reclaim_latency_ticks) / d(n);
+      }),
+      mean("msgs lost", "msgs_lost_mean", 0, [](const Rep& r) {
+        const net::NetworkStats& n = r.result.net;
+        return d(n.partition_cut + n.link_dropped + n.gray_dropped);
+      }),
+      mean("cancel msgs", "cancel_msgs_mean", 1, [](const Rep& r) {
+        return d(r.result.net.sent[static_cast<std::size_t>(net::MsgKind::kCancel)]);
+      })};
+  emit_table("E19 goodput under link-level chaos — partition-and-heal vs. gray-failure churn "
+             "(no crashes)",
+             e19_cols, e19_rows, opt);
 
-  // ---- E20: the recovery story as a time series ---------------------------
-  // One seeded partition-heal run at 128 processors with the flight
-  // recorder on: the per-window series shows goodput dipping when the cut
-  // opens, reissue work landing, and the post-heal cancel wave — the HEAL
-  // framing (goodput *during* recovery) instead of a recovery-latency
-  // scalar. Quantiles are spawn→complete latency within each window.
+  // ---- E20: the recovery story as a time series -------------------------------------------
+  // One partition-heal run with the recorder on: per-window goodput dips at the cut, reissue
+  // work lands, the cancel wave follows the heal. Quantiles are spawn→complete latency.
   const std::uint32_t e20_procs = 128;
   const lang::Program e20_program = reclaim_program_for(e20_procs);
-  core::SystemConfig e20_cfg =
-      config_for(e20_procs, net::TopologyKind::kTorus2D, 7);
-  e20_cfg.reclaim.cancellation = true;
-  e20_cfg.reclaim.gc_interval = 0;
+  core::SystemConfig e20_cfg = reclaim_config_for(e20_procs, 7);
   e20_cfg.obs.recorder = true;
-  const std::int64_t e20_makespan =
-      core::Simulation::fault_free_makespan(e20_cfg, e20_program);
-  net::FaultPlan e20_plan = net::FaultPlan::partition(
-      net::RegionSpec::neighborhood(static_cast<net::ProcId>(e20_procs - 1),
-                                    2),
-      sim::SimTime(e20_makespan / 4), sim::SimTime(e20_makespan / 3));
-  e20_plan.with_seed(7 * 31 + 7);
   core::Simulation e20_sim(e20_cfg, e20_program);
-  e20_sim.set_fault_plan(e20_plan);
+  e20_sim.set_fault_plan(corner_partition(
+      e20_procs, core::Simulation::fault_free_makespan(e20_cfg, e20_program), 7));
   const core::RunResult e20_result = e20_sim.run();
   if (!e20_result.completed || !e20_result.answer_correct) {
     std::fprintf(stderr, "E20 partition-heal run failed\n");
     return 1;
   }
-  const std::vector<obs::TimePoint> e20_series =
-      e20_sim.recorder().metrics().series();
+  const std::vector<obs::TimePoint> e20_series = e20_sim.recorder().metrics().series();
   const obs::LogHistogram& e20_lat = e20_sim.recorder().metrics().latency();
-
-  util::Table e20({"window start", "spawned", "completed", "queue depth",
-                   "in flight", "ckpt resident", "p50", "p99", "p999"});
-  e20.set_title(
-      "E20 partition-heal at 128 procs, recorder on — per-window goodput "
-      "and spawn->complete latency quantiles (cut at makespan/4, heal "
-      "+makespan/3)");
+  using TP = obs::TimePoint;
+  const Columns<TP> window_cols{
+      field("window start", &TP::window_start, "t"), field("spawned", &TP::spawned, "spawned"),
+      field("completed", &TP::completed, "completed"),
+      field("queue depth", &TP::queue_depth, "queue_depth"),
+      field("in flight", &TP::in_flight, "in_flight"),
+      field("ckpt resident", &TP::checkpoint_residency, "ckpt_resident"),
+      field("p50", &TP::latency_p50, "p50"), field("p99", &TP::latency_p99, "p99"),
+      field("p999", &TP::latency_p999, "p999")};
   // The table strides to ~16 rows; the perf JSON carries every window.
-  const std::size_t stride = std::max<std::size_t>(1, e20_series.size() / 16);
-  for (std::size_t i = 0; i < e20_series.size(); i += stride) {
-    const obs::TimePoint& w = e20_series[i];
-    e20.add_row({util::Table::num(static_cast<std::uint64_t>(w.window_start)),
-                 util::Table::num(w.spawned), util::Table::num(w.completed),
-                 util::Table::num(w.queue_depth),
-                 util::Table::num(w.in_flight),
-                 util::Table::num(w.checkpoint_residency),
-                 util::Table::num(w.latency_p50),
-                 util::Table::num(w.latency_p99),
-                 util::Table::num(w.latency_p999)});
-  }
-  bench::emit(e20, opt);
+  emit_table("E20 partition-heal at 128 procs, recorder on — per-window goodput and "
+             "spawn->complete latency quantiles (cut at makespan/4, heal +makespan/3)",
+             window_cols, e20_series, opt, std::max<std::size_t>(1, e20_series.size() / 16));
   std::printf(
-      "E20 whole-run spawn->complete latency: p50=%llu p99=%llu p999=%llu "
-      "ticks over %llu completions\n\n",
+      "E20 whole-run spawn->complete latency: p50=%llu p99=%llu p999=%llu ticks over %llu "
+      "completions\n\n",
       static_cast<unsigned long long>(e20_lat.percentile(0.5)),
       static_cast<unsigned long long>(e20_lat.percentile(0.99)),
       static_cast<unsigned long long>(e20_lat.percentile(0.999)),
       static_cast<unsigned long long>(e20_lat.count()));
 
-  // ---- E20b: recorder overhead on the E16 workload ------------------------
-  // Same 128-processor throughput measurement twice: recorder off (the
-  // default every other bench runs under — the 20% trajectory guard keeps
-  // this honest) and recorder on (journal + metrics, details off). The
-  // delta is the observability tax.
-  double recorder_eps[2] = {0, 0};  // [0]=off, [1]=on
-  {
-    const lang::Program ov_program = lang::programs::tree_sum(12, 2, 60, 10);
-    const int ov_reps = opt.quick ? 2 : 3;
-    for (const bool rec_on : {false, true}) {
-      core::SystemConfig cfg =
-          config_for(128, net::TopologyKind::kTorus2D, 71);
-      cfg.obs.recorder = rec_on;
-      const std::int64_t makespan =
-          core::Simulation::fault_free_makespan(cfg, ov_program);
-      const auto plan = net::FaultPlan::single(
-          static_cast<net::ProcId>(128 / 3), sim::SimTime(makespan / 2));
-      (void)core::run_once(cfg, ov_program, plan);  // warm-up
-      double best = 0;
-      for (int batch = 0; batch < 2; ++batch) {
-        std::uint64_t events = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < ov_reps; ++i) {
-          cfg.seed = 71 + static_cast<std::uint64_t>(i);
-          const core::RunResult r = core::run_once(cfg, ov_program, plan);
-          events += r.sim_events;
-          if (!r.completed || !r.answer_correct) {
-            std::fprintf(stderr, "E20 overhead run failed\n");
-            return 1;
-          }
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::max(best,
-                        static_cast<double>(events) /
-                            std::chrono::duration<double>(t1 - t0).count());
-      }
-      recorder_eps[rec_on ? 1 : 0] = best;
-    }
-    std::printf(
-        "E20 recorder overhead at 128 procs: %.0f events/sec off, %.0f "
-        "events/sec on (%.1f%% tax)\n\n",
-        recorder_eps[0], recorder_eps[1],
-        recorder_eps[0] > 0
-            ? (1.0 - recorder_eps[1] / recorder_eps[0]) * 100.0
-            : 0.0);
-  }
-
-  // ---- E16: simulator throughput (the recorded perf trajectory) -----------
-  // Sequential, wall-clock timed, with one mid-run fault so recovery code is
-  // on the measured path. The workload (8191-task balanced tree) is sized to
-  // keep even the 256-processor machine busy.
+  // ---- E20b: recorder overhead on the E16 workload -----------------------------------------
+  // The 128-processor throughput with the recorder off (every other bench's default) and on
+  // (journal + metrics, details off); the delta is the observability tax.
   const lang::Program perf_program = lang::programs::tree_sum(12, 2, 60, 10);
-  const int perf_reps = opt.quick ? 3 : 5;
-  util::Table perf({"procs", "events/sec", "allocs/event", "events/run",
-                    "peak RSS (KB)", "ckpt peak", "EventFn spills"});
-  perf.set_title(
-      "simulator throughput — tree_sum(12,2) + one fault, sequential runs");
-  std::vector<ThroughputRow> rows;
-  for (std::uint32_t procs : {32U, 64U, 128U, 256U}) {
-    core::SystemConfig cfg =
-        config_for(procs, net::TopologyKind::kTorus2D, 71);
-    const std::int64_t makespan =
-        core::Simulation::fault_free_makespan(cfg, perf_program);
-    const auto plan = net::FaultPlan::single(
-        static_cast<net::ProcId>(procs / 3), sim::SimTime(makespan / 2));
-    (void)core::run_once(cfg, perf_program, plan);  // warm-up
-    ThroughputRow row;
-    row.procs = procs;
-    const std::uint64_t spills0 = sim::EventFn::heap_fallbacks();
-    const unsigned long long allocs0 = g_allocs.load();
-    // Best of three timed batches: a short batch is one scheduler hiccup
-    // away from a 25% misreading, and the trajectory guard needs stability.
-    double best_events_per_sec = 0;
-    for (int batch = 0; batch < 3; ++batch) {
-      std::uint64_t batch_events = 0;
-      row.events = 0;
-      row.checkpoint_peak = 0;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < perf_reps; ++i) {
-        cfg.seed = 71 + static_cast<std::uint64_t>(i);
-        const core::RunResult r = core::run_once(cfg, perf_program, plan);
-        batch_events += r.sim_events;
-        row.events += r.sim_events;
-        row.checkpoint_peak += r.counters.checkpoint_peak_entries;
-        if (!r.completed || !r.answer_correct) {
-          std::fprintf(stderr, "throughput run failed at %u procs\n", procs);
-          return 1;
-        }
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      const double secs = std::chrono::duration<double>(t1 - t0).count();
-      best_events_per_sec =
-          std::max(best_events_per_sec,
-                   static_cast<double>(batch_events) / secs);
-    }
-    const unsigned long long allocs = g_allocs.load() - allocs0;
-    row.events_per_sec = best_events_per_sec;
-    row.allocs_per_event = static_cast<double>(allocs) /
-                           static_cast<double>(3 * row.events);
-    row.events /= static_cast<std::uint64_t>(perf_reps);
-    row.checkpoint_peak /= static_cast<std::uint64_t>(perf_reps);
-    row.peak_rss_kb = peak_rss_kb();
-    row.eventfn_heap_fallbacks = sim::EventFn::heap_fallbacks() - spills0;
-    rows.push_back(row);
-    perf.add_row({util::Table::num(static_cast<std::uint64_t>(procs)),
-                  util::Table::num(row.events_per_sec, 0),
-                  util::Table::num(row.allocs_per_event, 2),
-                  util::Table::num(row.events),
-                  util::Table::num(static_cast<std::uint64_t>(row.peak_rss_kb)),
-                  util::Table::num(row.checkpoint_peak),
-                  util::Table::num(row.eventfn_heap_fallbacks)});
-  }
-  bench::emit(perf, opt);
-
-  // ---- E21: sharded-engine scaling + scheduler x workload matrix ----------
-  // The PDES engine runs the same seeded computation at every shard count,
-  // so this sweep is pure wall-clock: events/sec at 1/2/4/8 worker threads
-  // (the scaling curve), and the E16 workload matrix re-run across
-  // schedulers at 1 and 8 shards (the "does any scheduler break the
-  // parallel path" gate — every cell must stay answer-correct, and the
-  // events/sec/thread aggregate feeds the bench_json.py regression guard).
-  // On a single-core host the curve is honest overhead measurement: shards
-  // > 1 pay barrier + context-switch cost with no parallel speedup.
-  struct E21Row {
-    const char* workload = nullptr;
-    const char* scheduler = nullptr;
-    std::uint32_t shards = 0;
-    double events_per_sec = 0;
-    std::uint64_t events = 0;
-    int correct = 0;
-    int runs = 0;
-  };
-  std::vector<E21Row> e21_rows;
-  {
-    const struct {
-      const char* name;
-      lang::Program program;
-    } workloads[] = {
-        {"tree_sum(10,2)", lang::programs::tree_sum(10, 2, 60, 10)},
-        {"nqueens(6)", lang::programs::nqueens(6)},
-    };
-    const struct {
-      const char* name;
-      core::SchedulerKind kind;
-    } scheds[] = {
-        {"random", core::SchedulerKind::kRandom},
-        {"local-first", core::SchedulerKind::kLocalFirst},
-        {"gradient", core::SchedulerKind::kGradient},
-    };
-    const int e21_reps = opt.quick ? 1 : 2;
-    auto run_cell = [&](const lang::Program& wl_program, const char* wl_name,
-                        const char* sc_name, core::SchedulerKind kind,
-                        std::uint32_t shards) {
-      core::SystemConfig cfg =
-          config_for(64, net::TopologyKind::kTorus2D, 71);
-      cfg.scheduler.kind = kind;
-      cfg.parallel.shards = shards;
-      const std::int64_t makespan =
-          core::Simulation::fault_free_makespan(cfg, wl_program);
-      const auto plan = net::FaultPlan::single(
-          static_cast<net::ProcId>(64 / 3), sim::SimTime(makespan / 2));
-      E21Row row;
-      row.workload = wl_name;
-      row.scheduler = sc_name;
-      row.shards = shards;
-      double best = 0;
-      for (int batch = 0; batch < 2; ++batch) {
-        std::uint64_t batch_events = 0;
-        row.events = 0;
-        row.correct = 0;
-        row.runs = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < e21_reps; ++i) {
-          cfg.seed = 71 + static_cast<std::uint64_t>(i);
-          const core::RunResult r = core::run_once(cfg, wl_program, plan);
-          batch_events += r.sim_events;
-          row.events += r.sim_events;
-          ++row.runs;
-          if (r.completed && r.answer_correct) ++row.correct;
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::max(best,
-                        static_cast<double>(batch_events) /
-                            std::chrono::duration<double>(t1 - t0).count());
-      }
-      row.events_per_sec = best;
-      row.events /= static_cast<std::uint64_t>(e21_reps);
-      e21_rows.push_back(row);
-    };
-    // Scaling curve: one workload/scheduler across the full thread sweep.
-    for (std::uint32_t shards : {1U, 2U, 4U, 8U}) {
-      run_cell(workloads[0].program, workloads[0].name, scheds[1].name,
-               scheds[1].kind, shards);
-    }
-    // Matrix: every workload x scheduler at the endpoints (1 and 8 shards),
-    // skipping the curve's own cells.
-    for (const auto& wl : workloads) {
-      for (const auto& sc : scheds) {
-        for (std::uint32_t shards : {1U, 8U}) {
-          if (wl.name == workloads[0].name && sc.name == scheds[1].name) {
-            continue;
-          }
-          run_cell(wl.program, wl.name, sc.name, sc.kind, shards);
-        }
-      }
-    }
-    util::Table e21({"workload", "scheduler", "shards", "events/sec",
-                     "events/sec/thread", "correct"});
-    e21.set_title(
-        "E21 sharded engine — scaling curve + scheduler x workload matrix "
-        "(engine(K) vs engine(1), same seeded computation)");
-    for (const E21Row& r : e21_rows) {
-      e21.add_row({std::string(r.workload), std::string(r.scheduler),
-                   util::Table::num(static_cast<std::uint64_t>(r.shards)),
-                   util::Table::num(r.events_per_sec, 0),
-                   util::Table::num(r.events_per_sec / r.shards, 0),
-                   std::to_string(r.correct) + "/" +
-                       std::to_string(r.runs)});
-    }
-    bench::emit(e21, opt);
-  }
-
-  if (perf_json != nullptr) {
-    const double calib = calibration_mops();
-    std::FILE* out = std::fopen(perf_json, "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", perf_json);
+  double recorder_eps[2] = {0, 0};  // [0]=off, [1]=on
+  for (const bool rec_on : {false, true}) {
+    core::SystemConfig cfg = config_for(128, net::TopologyKind::kTorus2D, 71);
+    cfg.obs.recorder = rec_on;
+    const Timed t = best_of(cfg, perf_program, 2, opt.quick ? 2 : 3);
+    if (t.correct != t.runs) {
+      std::fprintf(stderr, "E20 overhead run failed\n");
       return 1;
     }
-    std::fprintf(out, "{\n  \"schema_version\": 1,\n");
-    std::fprintf(out,
-                 "  \"workload\": \"tree_sum(12,2,60,10) torus2d splice, one "
-                 "mid-run fault, %d sequential runs\",\n",
-                 perf_reps);
-    std::fprintf(out, "  \"calibration_mops\": %.1f,\n", calib);
-    std::fprintf(out, "  \"throughput\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const ThroughputRow& r = rows[i];
-      std::fprintf(out,
-                   "    {\"procs\": %u, \"events_per_sec\": %.0f, "
-                   "\"normalized_events_per_mop\": %.1f, "
-                   "\"allocs_per_event\": %.2f, \"events_per_run\": %llu, "
-                   "\"peak_rss_kb\": %ld, \"checkpoint_peak_records\": %llu, "
-                   "\"eventfn_heap_fallbacks\": %llu}%s\n",
-                   r.procs, r.events_per_sec,
-                   r.events_per_sec / calib,
-                   r.allocs_per_event,
-                   static_cast<unsigned long long>(r.events), r.peak_rss_kb,
-                   static_cast<unsigned long long>(r.checkpoint_peak),
-                   static_cast<unsigned long long>(r.eventfn_heap_fallbacks),
-                   i + 1 < rows.size() ? "," : "");
+    recorder_eps[rec_on ? 1 : 0] = t.events_per_sec;
+  }
+  const double recorder_tax =
+      recorder_eps[0] > 0 ? (1.0 - recorder_eps[1] / recorder_eps[0]) * 100.0 : 0.0;
+  std::printf(
+      "E20 recorder overhead at 128 procs: %.0f events/sec off, %.0f events/sec on (%.1f%% "
+      "tax)\n\n",
+      recorder_eps[0], recorder_eps[1], recorder_tax);
+
+  // ---- E16: simulator throughput (the recorded perf trajectory) ----------------------------
+  // Sequential and wall-clock timed; the 8191-task tree keeps even 256 processors busy.
+  const int perf_reps = opt.quick ? 3 : 5;
+  std::vector<Timed> perf_rows;
+  for (std::uint32_t procs : {32U, 64U, 128U, 256U}) {
+    Timed row = best_of(config_for(procs, net::TopologyKind::kTorus2D, 71), perf_program, 3,
+                        perf_reps);
+    if (row.correct != row.runs) {
+      std::fprintf(stderr, "throughput run failed at %u procs\n", procs);
+      return 1;
     }
+    row.procs = procs;
+    row.peak_rss_kb = peak_rss_kb();
+    perf_rows.push_back(row);
+  }
+  const Column<Timed> normalized{  // events/sec per calibration Mop
+      nullptr, "normalized_events_per_mop", 1,
+      [&](const Timed& r) -> Value { return r.events_per_sec / calib; }};
+  const Columns<Timed> perf_cols{
+      field("procs", &Timed::procs, "procs"),
+      field("events/sec", &Timed::events_per_sec, "events_per_sec"), normalized,
+      field("allocs/event", &Timed::allocs_per_event, "allocs_per_event", 2),
+      field("events/run", &Timed::events, "events_per_run"),
+      field("peak RSS (KB)", &Timed::peak_rss_kb, "peak_rss_kb"),
+      field("ckpt peak", &Timed::checkpoint_peak, "checkpoint_peak_records"),
+      field("EventFn spills", &Timed::eventfn_heap_fallbacks, "eventfn_heap_fallbacks")};
+  emit_table("simulator throughput — tree_sum(12,2) + one fault, sequential runs", perf_cols,
+             perf_rows, opt);
+
+  // ---- E21: sharded-engine scaling + scheduler x workload matrix ---------------------------
+  // The same seeded computation at every shard count: events/sec at 1/2/4/8 worker threads,
+  // and workloads x schedulers at 1 and 8 shards (every cell must stay answer-correct). On
+  // one core, shards > 1 pay barrier + context-switch cost with no speedup.
+  const std::pair<const char*, lang::Program> workloads[] = {
+      {"tree_sum(10,2)", lang::programs::tree_sum(10, 2, 60, 10)},
+      {"nqueens(6)", lang::programs::nqueens(6)}};
+  const std::pair<const char*, core::SchedulerKind> scheds[] = {
+      {"random", core::SchedulerKind::kRandom},
+      {"local-first", core::SchedulerKind::kLocalFirst},
+      {"gradient", core::SchedulerKind::kGradient}};
+  std::vector<Timed> e21_rows;
+  const auto run_cell = [&](const auto& workload, const auto& sched, std::uint32_t shards) {
+    core::SystemConfig cfg = config_for(64, net::TopologyKind::kTorus2D, 71);
+    cfg.scheduler.kind = sched.second;
+    cfg.parallel.shards = shards;
+    Timed row = best_of(cfg, workload.second, 2, opt.quick ? 1 : 2);
+    row.workload = workload.first;
+    row.scheduler = sched.first;
+    row.shards = shards;
+    e21_rows.push_back(row);
+  };
+  // Scaling curve: one workload/scheduler across the full thread sweep.
+  for (std::uint32_t shards : {1U, 2U, 4U, 8U}) run_cell(workloads[0], scheds[1], shards);
+  // Matrix: every workload x scheduler at the endpoints, skipping the curve's own cells.
+  for (const auto& workload : workloads) {
+    for (const auto& sched : scheds) {
+      if (&workload == &workloads[0] && &sched == &scheds[1]) continue;
+      for (std::uint32_t shards : {1U, 8U}) run_cell(workload, sched, shards);
+    }
+  }
+  const Columns<Timed> e21_cols{
+      {"workload", "workload", 0, [](const Timed& r) -> Value { return r.workload; }},
+      {"scheduler", "scheduler", 0, [](const Timed& r) -> Value { return r.scheduler; }},
+      field("shards", &Timed::shards, "shards"),
+      field("events/sec", &Timed::events_per_sec, "events_per_sec"), normalized,
+      {"events/sec/thread", "events_per_sec_per_thread", 0,
+       [](const Timed& r) -> Value { return r.events_per_sec / r.shards; }},
+      field(nullptr, &Timed::events, "events_per_run"),
+      {"correct", nullptr, 0, [](const Timed& r) -> Value { return ratio(r.correct, r.runs); }},
+      field(nullptr, &Timed::correct, "correct"), field(nullptr, &Timed::runs, "runs")};
+  emit_table("E21 sharded engine — scaling curve + scheduler x workload matrix (engine(K) vs "
+             "engine(1), same seeded computation)",
+             e21_cols, e21_rows, opt);
+
+  if (opt.perf_json != nullptr) {
+    calib = calibration_mops();
+    std::FILE* out = std::fopen(opt.perf_json, "w");
+    if (out == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", opt.perf_json);
+      return 1;
+    }
+    std::fprintf(out,
+                 "{\n  \"schema_version\": 1,\n  \"workload\": \"tree_sum(12,2,60,10) torus2d "
+                 "splice, one mid-run fault, %d sequential runs\",\n  \"calibration_mops\": "
+                 "%.1f,\n  \"throughput\": [\n",
+                 perf_reps, calib);
+    json_rows(out, perf_cols, perf_rows);
     std::fprintf(out, "  ],\n  \"e19_chaos\": [\n");
-    for (std::size_t i = 0; i < e19_rows.size(); ++i) {
-      const E19Row& r = e19_rows[i];
-      std::fprintf(out,
-                   "    {\"procs\": %u, \"scenario\": \"%s\", "
-                   "\"correct\": %d, \"runs\": %d, "
-                   "\"goodput_tasks_per_ktick_mean\": %.2f, "
-                   "\"slowdown_mean\": %.2f, \"reclaimed_mean\": %.1f, "
-                   "\"reclaim_latency_ticks_mean\": %.0f, "
-                   "\"msgs_lost_mean\": %.0f, \"cancel_msgs_mean\": %.1f}%s\n",
-                   r.procs, r.scenario, r.correct, r.runs, r.goodput,
-                   r.slowdown, r.reclaimed, r.latency, r.msgs_lost,
-                   r.cancel_msgs, i + 1 < e19_rows.size() ? "," : "");
-    }
+    json_rows(out, e19_cols, e19_rows);
     std::fprintf(out, "  ],\n  \"e21_pdes\": [\n");
-    for (std::size_t i = 0; i < e21_rows.size(); ++i) {
-      const E21Row& r = e21_rows[i];
-      std::fprintf(out,
-                   "    {\"workload\": \"%s\", \"scheduler\": \"%s\", "
-                   "\"shards\": %u, \"events_per_sec\": %.0f, "
-                   "\"normalized_events_per_mop\": %.1f, "
-                   "\"events_per_sec_per_thread\": %.0f, "
-                   "\"events_per_run\": %llu, \"correct\": %d, "
-                   "\"runs\": %d}%s\n",
-                   r.workload, r.scheduler, r.shards, r.events_per_sec,
-                   r.events_per_sec / calib,
-                   r.events_per_sec / r.shards,
-                   static_cast<unsigned long long>(r.events), r.correct,
-                   r.runs, i + 1 < e21_rows.size() ? "," : "");
-    }
+    json_rows(out, e21_cols, e21_rows);
     std::fprintf(out,
-                 "  ],\n  \"recorder_overhead\": {\"procs\": 128, "
-                 "\"events_per_sec_off\": %.0f, \"events_per_sec_on\": %.0f, "
-                 "\"overhead_pct\": %.1f},\n",
-                 recorder_eps[0], recorder_eps[1],
-                 recorder_eps[0] > 0
-                     ? (1.0 - recorder_eps[1] / recorder_eps[0]) * 100.0
-                     : 0.0);
+                 "  ],\n  \"recorder_overhead\": {\"procs\": 128, \"events_per_sec_off\": %.0f, "
+                 "\"events_per_sec_on\": %.0f, \"overhead_pct\": %.1f},\n",
+                 recorder_eps[0], recorder_eps[1], recorder_tax);
     std::fprintf(out,
-                 "  \"e20_partition_heal_series\": {\"procs\": %u, "
-                 "\"makespan_ticks\": %lld, \"latency_p50\": %llu, "
-                 "\"latency_p99\": %llu, \"latency_p999\": %llu, "
+                 "  \"e20_partition_heal_series\": {\"procs\": %u, \"makespan_ticks\": %lld, "
+                 "\"latency_p50\": %llu, \"latency_p99\": %llu, \"latency_p999\": %llu, "
                  "\"windows\": [\n",
                  e20_procs, static_cast<long long>(e20_result.makespan_ticks),
                  static_cast<unsigned long long>(e20_lat.percentile(0.5)),
                  static_cast<unsigned long long>(e20_lat.percentile(0.99)),
                  static_cast<unsigned long long>(e20_lat.percentile(0.999)));
-    for (std::size_t i = 0; i < e20_series.size(); ++i) {
-      const obs::TimePoint& w = e20_series[i];
-      std::fprintf(out,
-                   "    {\"t\": %lld, \"spawned\": %llu, \"completed\": %llu, "
-                   "\"queue_depth\": %llu, \"in_flight\": %llu, "
-                   "\"ckpt_resident\": %llu, \"p50\": %llu, \"p99\": %llu, "
-                   "\"p999\": %llu}%s\n",
-                   static_cast<long long>(w.window_start),
-                   static_cast<unsigned long long>(w.spawned),
-                   static_cast<unsigned long long>(w.completed),
-                   static_cast<unsigned long long>(w.queue_depth),
-                   static_cast<unsigned long long>(w.in_flight),
-                   static_cast<unsigned long long>(w.checkpoint_residency),
-                   static_cast<unsigned long long>(w.latency_p50),
-                   static_cast<unsigned long long>(w.latency_p99),
-                   static_cast<unsigned long long>(w.latency_p999),
-                   i + 1 < e20_series.size() ? "," : "");
-    }
+    json_rows(out, window_cols, e20_series);
     std::fprintf(out, "  ]}\n}\n");
     std::fclose(out);
-    std::printf("perf json written to %s\n", perf_json);
+    std::printf("perf json written to %s\n", opt.perf_json);
   }
 
   std::printf(

@@ -14,6 +14,7 @@
 
 #include "core/simulation.h"
 #include "lang/programs.h"
+#include "obs/journal.h"
 
 int main(int argc, char** argv) {
   using namespace splice;
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
   cfg.recovery.kind = core::RecoveryKind::kSplice;
   cfg.heartbeat_interval = 800;
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
 
   const lang::Program program = lang::programs::figure1_tree(node_work);
   const std::int64_t makespan =
@@ -44,12 +45,14 @@ int main(int argc, char** argv) {
     if (p == net::kNoProc) return std::string("host");
     return std::string(1, static_cast<char>('A' + p));
   };
-  for (const auto& e : simulation.trace().events()) {
+  simulation.recorder().for_each([&](const obs::Event& e,
+                                     const std::string& detail) {
     // Print the protocol-level story; skip raw placement noise.
-    if (e.kind == "place") continue;
+    if (e.kind == obs::EventKind::kPlace) return;
+    const std::string kind(obs::to_string(e.kind));
     std::printf("t=%-7lld [%s] %-10s %s\n", static_cast<long long>(e.ticks),
-                proc_name(e.proc).c_str(), e.kind.c_str(), e.detail.c_str());
-  }
+                proc_name(e.proc).c_str(), kind.c_str(), detail.c_str());
+  });
 
   std::printf("\n%s\n", r.summary().c_str());
   std::printf("twins created (B2' and friends): %llu\n",

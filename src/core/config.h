@@ -209,6 +209,11 @@ struct ObsConfig {
   /// envelopes, checkpoint residency, per-window goodput + latency
   /// quantiles). 0 disables the sampling tick.
   std::int64_t sample_interval = 1000;
+  /// Turn the recorder on and keep each event's rendered detail prose
+  /// (task names, stamps, reasons) beside the typed fields — what the
+  /// figure walkthroughs print and tests match substrings in. Costs a
+  /// string per event, so throughput runs leave it off.
+  bool details = false;
 };
 
 /// Parallel (PDES) simulation driver. `shards == 0` (default) keeps the
@@ -259,9 +264,6 @@ struct SystemConfig {
   std::int64_t op_cost = 1;
   /// DEMAND_IT overhead: packet formation + checkpoint + queueing (§4.2).
   std::int64_t spawn_cost = 5;
-
-  /// Record a human-readable event trace (fig-walkthrough benches).
-  bool collect_trace = false;
 
   [[nodiscard]] std::string describe() const;
 };

@@ -166,15 +166,10 @@ RunResult Simulation::run() {
 std::int64_t Simulation::fault_free_makespan(const SystemConfig& config,
                                              const lang::Program& program) {
   SystemConfig clean = config;
-  clean.collect_trace = false;
+  clean.obs.details = false;
   Simulation twin(clean, program);
   const RunResult result = twin.run();
   return result.makespan_ticks;
-}
-
-const Trace& Simulation::trace() const {
-  if (!runtime_) throw std::logic_error("trace: run() first");
-  return const_cast<runtime::Runtime&>(*runtime_).trace();
 }
 
 const obs::Recorder& Simulation::recorder() const {

@@ -10,9 +10,8 @@ namespace splice::obs {
 
 namespace {
 
-// One name per EventKind, in enum order. These are the historical
-// core::Trace kind strings (tests assert on them via Trace::contains), plus
-// the four kinds PR 8 introduces (state-chunk/partition/heal/gray).
+// One name per EventKind, in enum order: the kind column of the figure
+// walkthroughs and the splice_trace text dump.
 // The array bound pins the entry *count*; the lint marker additionally
 // requires every enumerator to be named in the block, so a new kind cannot
 // silently value-initialize an empty name at the end of the table.

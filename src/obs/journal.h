@@ -5,19 +5,19 @@
 // checkpoint → crash → detect → reissue → cancel — and this journal is that
 // argument made inspectable: every recovery-relevant protocol action is one
 // fixed-shape Event carrying sim-time, processor, level stamp, task uid and
-// a causal parent reference (the event that made this one happen). The
-// string Trace the figure walkthroughs read is a thin rendering view over
-// these typed events (Runtime::trace() materialises it on demand); the
-// causal query engine (obs/causal.h), the Perfetto exporter (obs/export.h)
-// and the splice_trace CLI all read the same journal.
+// a causal parent reference (the event that made this one happen). It is
+// the only record of the run: the figure walkthroughs and the tests query
+// it with Recorder::for_each, matching on EventKind; the causal query
+// engine (obs/causal.h), the Perfetto exporter (obs/export.h) and the
+// splice_trace CLI read the same events.
 //
-// Cost discipline — identical to core::Trace's lazy-thunk contract:
+// Cost discipline — detail prose is a lazy thunk:
 //  * recorder off (the default, and every throughput bench): record() is a
 //    single predictable branch, detail thunks are never evaluated, no
 //    allocation, no stamp copy;
 //  * recorder on: one ring-slot write per event (the ring overwrites the
 //    oldest entry once full and counts the drop), detail strings are built
-//    only when trace rendering is additionally enabled (collect_trace).
+//    only when ObsConfig::details asks for them.
 //
 // Determinism: the journal is a pure function of (config, program, fault
 // plan, seed) — the same run journals byte-identical event streams on the
@@ -47,8 +47,8 @@ using EventId = std::uint64_t;
 inline constexpr EventId kNoEvent = 0;
 
 /// The event taxonomy. One entry per protocol action worth explaining; the
-/// string names (to_string) match the historical core::Trace kinds exactly,
-/// so the rendered view stays assertion-compatible.
+/// string names (to_string) are the kind column the figure walkthroughs
+/// print.
 enum class EventKind : std::uint8_t {
   // Task lifecycle.
   kPlace = 0,     // packet accepted, task resident ("place")
@@ -157,7 +157,7 @@ class Recorder {
   Recorder& operator=(const Recorder&) = delete;
 
   /// `capacity` bounds the ring (entries); `keep_details` additionally
-  /// stores the rendered detail string of every event for the Trace view.
+  /// stores the rendered detail string of every event (ObsConfig::details).
   void configure(bool enabled, std::uint32_t capacity, bool keep_details);
   void set_rank(std::uint32_t rank) noexcept { header_rank_ = rank; }
   void set_processors(std::uint32_t n) noexcept { header_procs_ = n; }
@@ -172,7 +172,7 @@ class Recorder {
   }
 
   /// Hot-path overload: the detail thunk is evaluated only when details are
-  /// kept (collect_trace), exactly like core::Trace's lazy add().
+  /// kept (ObsConfig::details).
   template <typename DetailFn>
     requires std::is_invocable_r_v<std::string, DetailFn>
   EventId record(sim::SimTime t, EventKind kind, const Fields& fields,

@@ -58,12 +58,12 @@ PdesEngine::PdesEngine(Runtime& runtime, net::Network& network,
   validate(config);
   const auto nshards = static_cast<std::uint32_t>(shards_.size());
   for (net::ProcId p = 0; p < procs_; ++p) shard_of_[p] = p % nshards;
-  const bool journaling = config.obs.recorder || config.collect_trace;
+  const bool journaling = config.obs.recorder || config.obs.details;
   for (std::uint32_t s = 0; s < nshards; ++s) {
     shards_[s].index = s;
     shards_[s].inbox.resize(nshards + 1);
     shards_[s].recorder.configure(journaling, config.obs.journal_capacity,
-                                  config.collect_trace);
+                                  config.obs.details);
     shards_[s].recorder.set_processors(config.processors);
   }
 }

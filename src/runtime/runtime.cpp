@@ -22,11 +22,10 @@ Runtime::Runtime(sim::Simulator& sim, net::Network& network,
       hosts_super_root_(network.is_local(0)),
       detection_noted_(config.processors, false) {
   // The recorder is the single write path for observability: an explicit
-  // obs.recorder opt-in journals typed events, and collect_trace (the
-  // legacy human-readable trace) additionally keeps rendered detail
-  // strings — the Trace accessor materialises its view from this journal.
-  recorder_.configure(config_.obs.recorder || config_.collect_trace,
-                      config_.obs.journal_capacity, config_.collect_trace);
+  // obs.recorder opt-in journals typed events, and obs.details additionally
+  // keeps each event's rendered detail prose.
+  recorder_.configure(config_.obs.recorder || config_.obs.details,
+                      config_.obs.journal_capacity, config_.obs.details);
   recorder_.set_processors(config_.processors);
   scheduler_ = sched::make_scheduler(config_.scheduler);
   policy_ = recovery::make_policy(config_.recovery);
@@ -150,23 +149,6 @@ void Runtime::start() {
   schedule_scheduler_tick();
   schedule_gc_tick();
   schedule_obs_sample();
-}
-
-core::Trace& Runtime::trace() {
-  // Rebuild the rendering view when the journal advanced. With the
-  // recorder off both counts are 0 after the first call, so this stays a
-  // cheap comparison.
-  if (trace_materialized_ != recorder_.total_recorded()) {
-    trace_ = core::Trace(true);
-    recorder_.for_each([this](const obs::Event& event,
-                              const std::string& detail) {
-      trace_.add(sim::SimTime(event.ticks), event.proc,
-                 std::string(obs::to_string(event.kind)), detail);
-    });
-    trace_.set_enabled(recorder_.enabled());
-    trace_materialized_ = recorder_.total_recorded();
-  }
-  return trace_;
 }
 
 void Runtime::schedule_obs_sample() {

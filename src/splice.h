@@ -21,7 +21,6 @@
 #include "core/config.h"
 #include "core/metrics.h"
 #include "core/simulation.h"
-#include "core/trace.h"
 #include "lang/interpreter.h"
 #include "lang/program.h"
 #include "lang/programs.h"
@@ -41,5 +40,4 @@
 #include "store/durable_store.h"
 #include "store/persistency.h"
 #include "store/state_transfer.h"
-#include "util/stats.h"
 #include "util/table.h"

@@ -16,6 +16,8 @@ namespace {
 
 using core::RunResult;
 using core::SystemConfig;
+using obs::EventKind;
+using splice::testing::journaled;
 
 constexpr net::ProcId kA = 0, kB = 1, kC = 2, kD = 3;
 
@@ -26,19 +28,21 @@ SystemConfig figure1_config(core::RecoveryKind recovery, std::int64_t hb = 800) 
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
   cfg.recovery.kind = recovery;
   cfg.heartbeat_interval = hb;
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
   cfg.seed = 1;
   return cfg;
 }
 
 // Stamps are path digits (call-site ExprIds), so identify tasks by the
-// trace's function names instead of raw stamps.
-bool placed_on(const core::Trace& trace, const std::string& fn,
+// function names that lead their journal detail instead of raw stamps.
+bool placed_on(const core::Simulation& sim, const std::string& fn,
                net::ProcId proc) {
-  for (const auto& e : trace.of_kind("place")) {
-    if (e.proc == proc && e.detail.rfind(fn + " ", 0) == 0) return true;
-  }
-  return false;
+  bool placed = false;
+  sim.recorder().for_each([&](const obs::Event& e, const std::string& detail) {
+    placed = placed || (e.kind == EventKind::kPlace && e.proc == proc &&
+                        detail.rfind(fn + " ", 0) == 0);
+  });
+  return placed;
 }
 
 TEST(Figure1, FaultFreePlacementFollowsThePaper) {
@@ -47,9 +51,8 @@ TEST(Figure1, FaultFreePlacementFollowsThePaper) {
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.answer_correct);
-  const core::Trace& trace = sim.trace();
   for (const auto& node : lang::programs::figure1_nodes()) {
-    EXPECT_TRUE(placed_on(trace, node.name,
+    EXPECT_TRUE(placed_on(sim, node.name,
                           static_cast<net::ProcId>(node.name[0] - 'A')))
         << node.name << " not on processor " << node.name[0];
   }
@@ -61,27 +64,26 @@ TEST(Figure1, CheckpointDistributionMatchesSection3) {
   // has happened while nothing has completed.
   SystemConfig cfg = figure1_config(core::RecoveryKind::kSplice);
   core::Simulation sim(cfg, lang::programs::figure1_tree(50000));
-  // Kill nobody; instead inspect the table state mid-run via the trace:
-  // every "checkpoint <stamp> entry P<dest>" line records who checkpointed
-  // onto whom.
+  // Kill nobody; instead inspect the table state mid-run via the journal:
+  // every "checkpoint <stamp> entry P<dest>" detail records who
+  // checkpointed onto whom.
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed);
-  const core::Trace& trace = sim.trace();
 
   // Count checkpoint records toward processor B by owner processor.
   int from_a = 0, from_c = 0, from_d = 0;
   int subsumed_to_b = 0;
-  for (const auto& e : trace.of_kind("checkpoint")) {
-    if (e.detail.find("entry P1") == std::string::npos) continue;
-    const bool subsumed = e.detail.find("subsumed") != std::string::npos;
-    if (subsumed) {
+  sim.recorder().for_each([&](const obs::Event& e, const std::string& detail) {
+    if (e.kind != EventKind::kCheckpoint) return;
+    if (detail.find("entry P1") == std::string::npos) return;
+    if (detail.find("subsumed") != std::string::npos) {
       ++subsumed_to_b;
-      continue;
+      return;
     }
     if (e.proc == kA) ++from_a;
     if (e.proc == kC) ++from_c;
     if (e.proc == kD) ++from_d;
-  }
+  });
   // "Processor A contains the functional checkpoint for B1" (B1 spawned
   // A->B).
   EXPECT_EQ(from_a, 1);
@@ -112,17 +114,16 @@ TEST(Figure1, KillingBFragmentsAndRollbackRegrows) {
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed) << r.summary();
   EXPECT_TRUE(r.answer_correct);
-  const core::Trace& trace = sim.trace();
   // The reissue set is exactly the paper's: "the system needs to command
   // processor A to respawn B1, and command processor C to regenerate B2
   // and B3."
-  EXPECT_TRUE(trace.contains("reissue", "B1"));
-  EXPECT_TRUE(trace.contains("reissue", "B2"));
-  EXPECT_TRUE(trace.contains("reissue", "B3"));
+  EXPECT_TRUE(journaled(sim, EventKind::kReissue, "B1"));
+  EXPECT_TRUE(journaled(sim, EventKind::kReissue, "B2"));
+  EXPECT_TRUE(journaled(sim, EventKind::kReissue, "B3"));
   // B5/B7 had not spawned yet; nothing else is reissued at detection time
   // from the dead processor's entries.
-  EXPECT_FALSE(trace.contains("reissue", "B5"));
-  EXPECT_FALSE(trace.contains("reissue", "B7"));
+  EXPECT_FALSE(journaled(sim, EventKind::kReissue, "B5"));
+  EXPECT_FALSE(journaled(sim, EventKind::kReissue, "B7"));
 }
 
 TEST(Figure1, SpliceCreatesStepParentAndSalvagesD4) {
@@ -137,13 +138,14 @@ TEST(Figure1, SpliceCreatesStepParentAndSalvagesD4) {
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed) << r.summary();
   EXPECT_TRUE(r.answer_correct);
-  const core::Trace& trace = sim.trace();
   // B2' (a twin of B2) must be created by processor C (B2's checkpoint
   // owner C1 lives there).
   bool twin_b2_on_c = false;
-  for (const auto& e : trace.of_kind("twin")) {
-    if (e.proc == kC && e.detail.rfind("B2 ", 0) == 0) twin_b2_on_c = true;
-  }
+  sim.recorder().for_each([&](const obs::Event& e, const std::string& detail) {
+    twin_b2_on_c = twin_b2_on_c ||
+                   (e.kind == EventKind::kTwin && e.proc == kC &&
+                    detail.rfind("B2 ", 0) == 0);
+  });
   EXPECT_TRUE(twin_b2_on_c) << "no B2 step-parent created on processor C";
   EXPECT_GT(r.counters.results_relayed + r.counters.orphan_results_salvaged,
             0U)
@@ -159,7 +161,7 @@ TEST(Figure1, SpliceSalvagesWhereRollbackDiscards) {
   const auto program = lang::programs::figure1_tree(2500);
   SystemConfig scfg = figure1_config(core::RecoveryKind::kSplice);
   SystemConfig rcfg = figure1_config(core::RecoveryKind::kRollback);
-  scfg.collect_trace = rcfg.collect_trace = false;
+  scfg.obs.details = rcfg.obs.details = false;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(scfg, program);
   const RunResult s = core::run_once(scfg, program,

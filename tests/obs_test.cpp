@@ -245,7 +245,7 @@ TEST(Metrics, SamplingWindowsAccumulateGoodput) {
 // recorder on — the E19 recipe shrunk to suite scale.
 core::RunResult run_chaos(core::SystemConfig cfg, obs::Journal* journal_out,
                           std::vector<obs::TimePoint>* series_out = nullptr,
-                          std::string* trace_render = nullptr) {
+                          std::vector<std::string>* details_out = nullptr) {
   cfg.reclaim.cancellation = true;
   cfg.reclaim.gc_interval = 0;
   const lang::Program program = lang::programs::tree_sum(7, 2, 400, 30);
@@ -261,7 +261,11 @@ core::RunResult run_chaos(core::SystemConfig cfg, obs::Journal* journal_out,
   const core::RunResult result = sim.run();
   if (journal_out != nullptr) *journal_out = sim.recorder().snapshot();
   if (series_out != nullptr) *series_out = sim.recorder().metrics().series();
-  if (trace_render != nullptr) *trace_render = sim.trace().render();
+  if (details_out != nullptr) {
+    sim.recorder().for_each([&](const obs::Event&, const std::string& d) {
+      details_out->push_back(d);
+    });
+  }
   return result;
 }
 
@@ -349,21 +353,27 @@ TEST(FlightRecorder, ChaosRunJournalsTheRecoveryStory) {
             result.net.partition_cut > 0);
 }
 
-TEST(FlightRecorder, TraceViewRendersFromTheJournal) {
+TEST(FlightRecorder, DetailsRideAlongTheJournal) {
   core::SystemConfig cfg = testing::base_config(16, 5);
-  cfg.collect_trace = true;  // enables the recorder + detail prose
+  cfg.obs.details = true;  // enables the recorder + detail prose
 
   obs::Journal journal;
-  std::string rendered;
-  const core::RunResult result =
-      run_chaos(cfg, &journal, nullptr, &rendered);
+  std::vector<std::string> details;
+  const core::RunResult result = run_chaos(cfg, &journal, nullptr, &details);
   ASSERT_TRUE(result.completed && result.answer_correct) << result.summary();
-  // The string view is a rendering of the typed journal: same kinds, same
-  // order, one line per retained event.
-  EXPECT_NE(rendered.find("place"), std::string::npos);
-  EXPECT_NE(rendered.find("partition"), std::string::npos);
-  EXPECT_NE(rendered.find("done"), std::string::npos);
-  EXPECT_FALSE(journal.events.empty());
+  // One detail per retained event, and the prose names what the typed
+  // event records: a placement's detail leads with its task.
+  ASSERT_EQ(details.size(), journal.events.size());
+  bool placed = false, cut = false, done = false;
+  for (std::size_t i = 0; i < details.size(); ++i) {
+    const obs::EventKind kind = journal.events[i].kind;
+    placed = placed || (kind == obs::EventKind::kPlace && !details[i].empty());
+    cut = cut || kind == obs::EventKind::kPartition;
+    done = done || kind == obs::EventKind::kDone;
+  }
+  EXPECT_TRUE(placed);
+  EXPECT_TRUE(cut);
+  EXPECT_TRUE(done);
 }
 
 TEST(RecoveryOracle, ViolationsCarryTheCausalChain) {

@@ -19,7 +19,7 @@ using splice::testing::base_config;
 TEST(Protocol, ErrorDetectionBroadcastReachesEveryProcessor) {
   SystemConfig cfg = base_config(8, 3);
   cfg.topology = net::TopologyKind::kComplete;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const auto program = lang::programs::tree_sum(4, 2, 400, 50);
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
@@ -30,7 +30,9 @@ TEST(Protocol, ErrorDetectionBroadcastReachesEveryProcessor) {
   // Every surviving processor must have learned of P2's death (detect
   // events from 7 processors: the victim can't detect itself).
   std::set<net::ProcId> learned;
-  for (const auto& e : sim.trace().of_kind("detect")) learned.insert(e.proc);
+  sim.recorder().for_each([&](const obs::Event& e, const std::string&) {
+    if (e.kind == obs::EventKind::kDetect) learned.insert(e.proc);
+  });
   EXPECT_EQ(learned.size(), 7U);
 }
 
@@ -83,7 +85,7 @@ TEST(Protocol, ZoneEligibilityConfinesReplicaLanes) {
   cfg.replication.max_depth = 1;
   cfg.replication.majority = false;
   cfg.replication.zoned = true;
-  cfg.collect_trace = true;
+  cfg.obs.recorder = true;
   const auto program = lang::programs::tree_sum(3, 2, 100, 20);
   core::Simulation sim(cfg, program);
   const RunResult r = sim.run();
@@ -96,9 +98,9 @@ TEST(Protocol, ZoneEligibilityConfinesReplicaLanes) {
   // The run completing with first-vote quorum already proves lanes exist;
   // here we check placements span all three zones.
   std::set<net::ProcId> zones_used;
-  for (const auto& e : sim.trace().of_kind("place")) {
-    zones_used.insert(e.proc % 3);
-  }
+  sim.recorder().for_each([&](const obs::Event& e, const std::string&) {
+    if (e.kind == obs::EventKind::kPlace) zones_used.insert(e.proc % 3);
+  });
   EXPECT_EQ(zones_used.size(), 3U);
 }
 
@@ -133,13 +135,13 @@ TEST(Protocol, ReplicationOfEveryTaskAtDepthTwoStillCorrect) {
   EXPECT_TRUE(r.answer_correct);
 }
 
-TEST(Protocol, TraceDisabledCollectsNothing) {
+TEST(Protocol, RecorderOffJournalsNothing) {
   SystemConfig cfg = base_config(4, 1);
-  cfg.collect_trace = false;
   core::Simulation sim(cfg, lang::programs::fib(6));
   const RunResult r = sim.run();
   ASSERT_TRUE(r.completed);
-  EXPECT_TRUE(sim.trace().events().empty());
+  EXPECT_FALSE(sim.recorder().enabled());
+  EXPECT_EQ(sim.recorder().total_recorded(), 0U);
 }
 
 TEST(Protocol, ConfigDescribeMentionsEveryAxis) {

@@ -12,6 +12,7 @@ using core::RecoveryKind;
 using core::RunResult;
 using core::SystemConfig;
 using splice::testing::base_config;
+using splice::testing::journaled;
 
 SystemConfig rollback_config(std::uint32_t procs = 8, std::uint64_t seed = 1) {
   SystemConfig cfg = base_config(procs, seed);
@@ -66,7 +67,7 @@ TEST(Rollback, AbortsOrphansOfDeadParent) {
   SystemConfig cfg = rollback_config(4, 1);
   cfg.topology = net::TopologyKind::kComplete;
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
   const auto program = lang::programs::figure1_tree(400);
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
@@ -75,7 +76,8 @@ TEST(Rollback, AbortsOrphansOfDeadParent) {
   const RunResult r = simulation.run();
   ASSERT_TRUE(r.completed) << r.summary();
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(simulation.trace().contains("reissue", "rollback reissue"));
+  EXPECT_TRUE(journaled(simulation, obs::EventKind::kReissue,
+                        "rollback reissue"));
 }
 
 TEST(Rollback, DetectionHappensAfterFault) {

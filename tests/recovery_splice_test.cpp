@@ -13,6 +13,7 @@ using core::RecoveryKind;
 using core::RunResult;
 using core::SystemConfig;
 using splice::testing::base_config;
+using splice::testing::journaled;
 
 SystemConfig splice_config(std::uint32_t procs = 8, std::uint64_t seed = 1) {
   SystemConfig cfg = base_config(procs, seed);
@@ -90,7 +91,7 @@ TEST(Splice, TwinsInheritViaGrandparentRelay) {
   SystemConfig cfg = splice_config(4, 1);
   cfg.topology = net::TopologyKind::kComplete;
   cfg.scheduler.kind = core::SchedulerKind::kPinned;
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
   // Figure-1 scenario with heavy node work so B dies while D4's subtree is
   // still computing: D4's result must be relayed via C1 into B2'.
   const auto program = lang::programs::figure1_tree(2500);
@@ -101,7 +102,7 @@ TEST(Splice, TwinsInheritViaGrandparentRelay) {
   const RunResult r = simulation.run();
   ASSERT_TRUE(r.completed) << r.summary();
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(simulation.trace().contains("twin", "step-parent"));
+  EXPECT_TRUE(journaled(simulation, obs::EventKind::kTwin, "step-parent"));
 }
 
 TEST(Splice, NoAbortsUnderSplice) {

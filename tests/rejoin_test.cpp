@@ -11,9 +11,12 @@
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace splice {
 namespace {
+
+using splice::testing::journaled;
 
 // ---------------------------------------------------------------------------
 // Network-level revive semantics
@@ -135,7 +138,7 @@ TEST(Rejoin, SpliceCompletesWithKillAndRejoin) {
 TEST(Rejoin, RevivedNodeAnnouncesAndPeersForgetItsDeath) {
   const auto program = lang::programs::tree_sum(4, 3, 300, 40);
   core::SystemConfig cfg = base_config(core::RecoveryKind::kSplice);
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
   net::FaultPlan plan = net::FaultPlan::single(2, sim::SimTime(makespan / 3));
@@ -145,11 +148,11 @@ TEST(Rejoin, RevivedNodeAnnouncesAndPeersForgetItsDeath) {
   const core::RunResult r = sim.run();
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(sim.trace().contains("rejoin", "repaired, blank"));
-  EXPECT_TRUE(sim.trace().contains("revive", "processor repaired"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kRejoin, "repaired, blank"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kRevive, "processor repaired"));
   // At least one live peer had detected the death and processed the
   // rejoin notice.
-  EXPECT_TRUE(sim.trace().contains("peer-rejoin", "P2 is back"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kPeerRejoin, "P2 is back"));
 }
 
 TEST(Rejoin, SecondDeathOfRejoinedNodeIsDetectedAndRecovered) {

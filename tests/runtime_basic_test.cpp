@@ -20,6 +20,7 @@ using core::SchedulerKind;
 using core::SystemConfig;
 using splice::testing::base_config;
 using splice::testing::fib_value;
+using splice::testing::journaled;
 
 TEST(RuntimeBasic, SingleProcessorSingleTask) {
   SystemConfig cfg = testing::base_config(1);
@@ -110,18 +111,18 @@ TEST(RuntimeBasic, HeartbeatsFlowWhenEnabled) {
             0U);
 }
 
-TEST(RuntimeBasic, TraceRecordsLifecycle) {
+TEST(RuntimeBasic, JournalRecordsLifecycle) {
   SystemConfig cfg = base_config(4);
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
   core::Simulation simulation(cfg, lang::programs::fib(5));
   const RunResult r = simulation.run();
   ASSERT_TRUE(r.completed);
-  const core::Trace& trace = simulation.trace();
-  EXPECT_FALSE(trace.of_kind("place").empty());
-  EXPECT_FALSE(trace.of_kind("spawn").empty());
-  EXPECT_FALSE(trace.of_kind("complete").empty());
-  EXPECT_FALSE(trace.of_kind("checkpoint").empty());
-  EXPECT_TRUE(trace.contains("done", std::to_string(fib_value(5))));
+  EXPECT_TRUE(journaled(simulation, obs::EventKind::kPlace));
+  EXPECT_TRUE(journaled(simulation, obs::EventKind::kSpawn));
+  EXPECT_TRUE(journaled(simulation, obs::EventKind::kComplete));
+  EXPECT_TRUE(journaled(simulation, obs::EventKind::kCheckpoint));
+  EXPECT_TRUE(journaled(simulation, obs::EventKind::kDone,
+                        std::to_string(fib_value(5))));
 }
 
 TEST(RuntimeBasic, BusyTicksAccountedAndPositive) {

@@ -2,18 +2,21 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.h"
 #include "core/simulation.h"
 #include "lang/programs.h"
 #include "net/fault_injector.h"
+#include "obs/journal.h"
 #include "runtime/processor.h"
 
 namespace splice::testing {
 
 /// Baseline configuration used across the suite: small mesh, random
-/// scheduler, splice recovery, heartbeats on, tracing off.
+/// scheduler, splice recovery, heartbeats on, recorder off.
 inline core::SystemConfig base_config(std::uint32_t processors = 8,
                                       std::uint64_t seed = 1) {
   core::SystemConfig cfg;
@@ -47,6 +50,18 @@ inline std::vector<net::ProcId> unaware_of_death(core::Simulation& sim,
     if (!rt.processor(p).knows_dead(dead)) out.push_back(p);
   }
   return out;
+}
+
+/// True if the run journaled an event of `kind` whose detail prose contains
+/// `detail` (prose is kept only under cfg.obs.details).
+inline bool journaled(const core::Simulation& sim, obs::EventKind kind,
+                      std::string_view detail = {}) {
+  bool found = false;
+  sim.recorder().for_each([&](const obs::Event& e, const std::string& text) {
+    found = found ||
+            (e.kind == kind && text.find(detail) != std::string::npos);
+  });
+  return found;
 }
 
 /// Reference fibonacci for oracle checks.

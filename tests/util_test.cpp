@@ -5,10 +5,9 @@
 #include <set>
 #include <vector>
 
+#include "bench/harness.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace splice::util {
 namespace {
@@ -109,54 +108,6 @@ TEST(HashCombine, OrderSensitive) {
   EXPECT_EQ(hash_combine(1, 2), hash_combine(1, 2));
 }
 
-TEST(Accumulator, BasicMoments) {
-  Accumulator acc;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(v);
-  EXPECT_EQ(acc.count(), 8U);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_NEAR(acc.stddev(), 2.138, 0.001);
-  EXPECT_EQ(acc.min(), 2.0);
-  EXPECT_EQ(acc.max(), 9.0);
-}
-
-TEST(Accumulator, MergeMatchesCombinedStream) {
-  Accumulator all, left, right;
-  Xoshiro256 rng(23);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.next_double() * 10;
-    all.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-}
-
-TEST(Accumulator, CovZeroWhenEmptyOrZeroMean) {
-  Accumulator acc;
-  EXPECT_EQ(acc.cov(), 0.0);
-  acc.add(-1);
-  acc.add(1);
-  EXPECT_EQ(acc.cov(), 0.0);
-}
-
-TEST(Samples, PercentilesExact) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(90), 90.1, 0.2);
-}
-
-TEST(Samples, EmptyIsSafe) {
-  Samples s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.percentile(50), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-}
-
 TEST(Table, AsciiAlignmentAndCsvEscaping) {
   Table t({"name", "value"});
   t.set_title("demo");
@@ -177,33 +128,18 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(static_cast<std::int64_t>(-7)), "-7");
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
+// The bench harness fans seeded replicates out with this helper.
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(257);
-  parallel_for(
+  bench::parallel_for(
       hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, ZeroAndOne) {
-  parallel_for(0, [](std::size_t) { FAIL(); });
+  bench::parallel_for(0, [](std::size_t) { FAIL(); });
   int calls = 0;
-  parallel_for(1, [&](std::size_t i) {
+  bench::parallel_for(1, [&](std::size_t i) {
     EXPECT_EQ(i, 0U);
     ++calls;
   });

@@ -11,9 +11,12 @@
 #include "lang/programs.h"
 #include "net/fault_plan.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace splice {
 namespace {
+
+using splice::testing::journaled;
 
 core::SystemConfig base_config(core::RecoveryKind kind,
                                store::Persistency model) {
@@ -82,7 +85,7 @@ TEST(WarmRejoin, CatchUpCompletesAndIsTraced) {
   const auto program = lang::programs::tree_sum(5, 3, 300, 40);
   core::SystemConfig cfg =
       base_config(core::RecoveryKind::kSplice, store::Persistency::kLocal);
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
   cfg.store.warm_grace = makespan;
@@ -92,10 +95,12 @@ TEST(WarmRejoin, CatchUpCompletesAndIsTraced) {
   sim.set_fault_plan(plan);
   const core::RunResult r = sim.run();
   ASSERT_TRUE(r.completed && r.answer_correct);
-  EXPECT_TRUE(sim.trace().contains("rejoin", "repaired, warm"));
-  EXPECT_TRUE(sim.trace().contains("revive", "processor repaired (warm)"));
-  EXPECT_TRUE(sim.trace().contains("defer", "warm rejoin"));
-  EXPECT_TRUE(sim.trace().contains("catch-up", "state transfer complete"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kRejoin, "repaired, warm"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kRevive,
+                        "processor repaired (warm)"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kDefer, "warm rejoin"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kCatchUp,
+                        "state transfer complete"));
   EXPECT_GT(r.counters.catch_up_ticks, 0);
   EXPECT_GT(r.counters.state_units_transferred, 0U);
 }
@@ -223,7 +228,7 @@ TEST(WarmRejoin, GraceExpiryFallsBackToColdReissue) {
   const auto program = lang::programs::tree_sum(4, 3, 250, 40);
   core::SystemConfig cfg =
       base_config(core::RecoveryKind::kSplice, store::Persistency::kLocal);
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
   cfg.store.warm_grace = 1500;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
@@ -234,7 +239,7 @@ TEST(WarmRejoin, GraceExpiryFallsBackToColdReissue) {
   const core::RunResult r = sim.run();
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(sim.trace().contains("grace-expired", "cold reissue"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kGraceExpired, "cold reissue"));
   EXPECT_GT(r.counters.tasks_respawned, 0U);
 }
 
@@ -246,7 +251,7 @@ TEST(WarmRejoin, PeriodicGlobalWarmUnparksForTheRejoiner) {
   const auto program = lang::programs::tree_sum(5, 3, 300, 40);
   core::SystemConfig cfg = base_config(core::RecoveryKind::kPeriodicGlobal,
                                        store::Persistency::kLocal);
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
   // A snapshot must exist before the kill, and the repair must beat the
@@ -262,7 +267,7 @@ TEST(WarmRejoin, PeriodicGlobalWarmUnparksForTheRejoiner) {
   EXPECT_TRUE(r.answer_correct);
   EXPECT_EQ(r.nodes_revived, 1U);
   EXPECT_GE(r.counters.restores, 1U);
-  EXPECT_TRUE(sim.trace().contains("unpark", "parked tasks resumed"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kUnpark, "parked tasks resumed"));
   EXPECT_GT(r.counters.reissues_avoided, 0U);
 }
 
@@ -273,7 +278,7 @@ TEST(WarmRejoin, PeriodicGlobalParkExpiryRedistributesCold) {
   const auto program = lang::programs::tree_sum(4, 3, 250, 40);
   core::SystemConfig cfg = base_config(core::RecoveryKind::kPeriodicGlobal,
                                        store::Persistency::kLocal);
-  cfg.collect_trace = true;
+  cfg.obs.details = true;
   const std::int64_t makespan =
       core::Simulation::fault_free_makespan(cfg, program);
   cfg.recovery.checkpoint_interval = makespan / 8;
@@ -285,7 +290,8 @@ TEST(WarmRejoin, PeriodicGlobalParkExpiryRedistributesCold) {
   const core::RunResult r = sim.run();
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(r.answer_correct);
-  EXPECT_TRUE(sim.trace().contains("park-expired", "redistributed cold"));
+  EXPECT_TRUE(journaled(sim, obs::EventKind::kParkExpired,
+                        "redistributed cold"));
 }
 
 }  // namespace
