@@ -17,6 +17,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/simulation.h"
@@ -98,7 +99,9 @@ struct Replicate {
 
 /// Run `n` seeded replicates of (config(seed), program, plan(cfg, clean
 /// makespan, seed)) across hardware threads. Seeds are 1..n, so results are
-/// reproducible regardless of thread interleaving.
+/// reproducible regardless of thread interleaving. Without `make_plan` the
+/// run is itself fault-free, so its own makespan is the clean one and no
+/// twin run is needed.
 inline std::vector<Replicate> run_replicates(
     int n, const lang::Program& program,
     const std::function<core::SystemConfig(std::uint64_t)>& make_config,
@@ -108,11 +111,17 @@ inline std::vector<Replicate> run_replicates(
   parallel_for(static_cast<std::size_t>(n), [&](std::size_t i) {
     const std::uint64_t seed = i + 1;
     core::SystemConfig cfg = make_config(seed);
+    if (!make_plan) {
+      core::RunResult result = core::run_once(cfg, program);
+      const std::int64_t makespan = result.makespan_ticks;
+      out[i] = Replicate{std::move(result), makespan};
+      return;
+    }
     const std::int64_t makespan =
         core::Simulation::fault_free_makespan(cfg, program);
-    net::FaultPlan plan;
-    if (make_plan) plan = make_plan(cfg, makespan, seed);
-    out[i] = Replicate{core::run_once(cfg, program, plan), makespan};
+    out[i] = Replicate{
+        core::run_once(cfg, program, make_plan(cfg, makespan, seed)),
+        makespan};
   });
   return out;
 }

@@ -18,20 +18,15 @@ RunResult Simulation::run() {
   ran_ = true;
 
   sim_ = std::make_unique<sim::Simulator>();
+  // The driver choice: the sharded (PDES) engine is the Network's
+  // transport, and PdesEngine's validate() rejects what it cannot run.
+  std::unique_ptr<net::Transport> transport;  // null = in-process default
   if (config_.parallel.engine()) {
-    // Sharded (PDES) driver: the Network shapes envelopes exactly as on the
-    // classic path but hands them to the engine's router instead of a
-    // transport. Triggered faults are rejected here because their firing
-    // order depends on the classic global event order.
-    if (!fault_plan_.triggered.empty()) {
-      throw std::invalid_argument(
-          "parallel engine: triggered faults need the classic event order");
-    }
-    network_ = std::make_unique<net::Network>(
-        *sim_, net::Topology(config_.topology, config_.processors),
-        config_.latency, net::Network::RouterMode{config_.parallel.shards});
+    auto engine =
+        std::make_unique<runtime::PdesEngine>(*sim_, config_, fault_plan_);
+    engine_ = engine.get();
+    transport = std::move(engine);
   } else {
-    std::unique_ptr<net::Transport> transport;  // null = in-process default
     switch (config_.transport.backend) {
       case net::TransportKind::kInProcess:
         break;
@@ -45,18 +40,13 @@ RunResult Simulation::run() {
             "Simulation::run cannot drive the tcp transport; use the "
             "splice_noded multi-process driver");
     }
-    network_ = std::make_unique<net::Network>(
-        *sim_, net::Topology(config_.topology, config_.processors),
-        config_.latency, std::move(transport));
   }
+  network_ = std::make_unique<net::Network>(
+      *sim_, net::Topology(config_.topology, config_.processors),
+      config_.latency, std::move(transport));
   runtime_ = std::make_unique<runtime::Runtime>(*sim_, *network_, config_,
                                                 program_);
-  if (config_.parallel.engine()) {
-    engine_ = std::make_unique<runtime::PdesEngine>(*runtime_, *network_,
-                                                    config_);
-    network_->set_router(*engine_);
-    runtime_->set_engine(engine_.get());
-  }
+  if (engine_ != nullptr) runtime_->set_engine(*engine_);
   runtime_->set_warm_rejoin(fault_plan_.rejoin.enabled &&
                             fault_plan_.rejoin.mode == net::RejoinMode::kWarm);
   injector_ = std::make_unique<net::FaultInjector>(
@@ -136,10 +126,12 @@ RunResult Simulation::run() {
   }
   runtime_->start();
   sim::SimTime end_time;
+  std::uint64_t shard_events = 0;
   if (engine_ != nullptr) {
     engine_->run(sim::SimTime(deadline));
     engine_->merge_journals();
     end_time = engine_->horizon();
+    shard_events = engine_->shard_events();
   } else {
     sim_->run_until(sim::SimTime(deadline));
     end_time = sim_->now();
@@ -147,6 +139,7 @@ RunResult Simulation::run() {
 
   RunResult result =
       runtime_->collect(end_time, injector_->kills_executed());
+  result.sim_events += shard_events;
   // The injector records the first kill that actually executed — with
   // regional/cascade/recurring plans the earliest *scheduled* entry may
   // target an already-dead node and never fire.

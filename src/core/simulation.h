@@ -70,8 +70,9 @@ class Simulation {
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<runtime::Runtime> runtime_;
   std::unique_ptr<net::FaultInjector> injector_;
-  /// Sharded (PDES) driver; non-null iff config.parallel.engine().
-  std::unique_ptr<runtime::PdesEngine> engine_;
+  /// The sharded (PDES) driver when config.parallel.shards >= 1, else null.
+  /// Owned by network_ as its transport.
+  runtime::PdesEngine* engine_ = nullptr;
   bool ran_ = false;
 };
 

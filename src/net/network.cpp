@@ -19,7 +19,7 @@ Network::Network(sim::Simulator& simulator, Topology topology,
                            : make_in_process_transport(simulator)),
       receivers_(topology_.size()),
       alive_(topology_.size(), true),
-      lanes_(1) {
+      lanes_(transport_->lanes()) {
   transport_->set_deliver(
       [this](Envelope&& envelope) { deliver(std::move(envelope)); });
   transport_->set_unreachable([this](Envelope&& envelope) {
@@ -28,25 +28,8 @@ Network::Network(sim::Simulator& simulator, Topology topology,
   });
 }
 
-Network::Network(sim::Simulator& coordinator_sim, Topology topology,
-                 LatencyModel latency, RouterMode mode)
-    : sim_(coordinator_sim),
-      topology_(std::move(topology)),
-      latency_(latency),
-      receivers_(topology_.size()),
-      alive_(topology_.size(), true),
-      lanes_(mode.shards + 1) {}
-
 void Network::set_receiver(ProcId p, Receiver receiver) {
   receivers_.at(p) = std::move(receiver);
-}
-
-void Network::dispatch(Envelope&& envelope, sim::SimTime delay) {
-  if (router_ != nullptr) {
-    router_->route(std::move(envelope), net_now() + delay);
-    return;
-  }
-  transport_->submit(std::move(envelope), delay);
 }
 
 void Network::send(Envelope envelope) {
@@ -102,11 +85,11 @@ void Network::send(Envelope envelope) {
     if (verdict.duplicate) {
       ++ln.stats.link_duplicated;
       ++ln.in_flight;
-      dispatch(clone_envelope(envelope), delay + verdict.dup_extra);
+      transport_->submit(clone_envelope(envelope), delay + verdict.dup_extra);
     }
   }
   ++ln.in_flight;
-  dispatch(std::move(envelope), delay);
+  transport_->submit(std::move(envelope), delay);
 }
 
 Envelope Network::clone_envelope(const Envelope& envelope) {
@@ -133,16 +116,12 @@ Envelope Network::clone_envelope(const Envelope& envelope) {
 
 void Network::deliver(Envelope&& envelope) {
   Lane& ln = lane();
-  // In-flight gauge: the substrate just handed the envelope back. In router
-  // mode the executing shard decrements its own lane — individual lanes go
-  // signed-negative and only the sum matters. On the classic path remote
-  // arrivals on the TCP backend were never submitted locally, so the single
-  // lane saturates at zero instead.
-  if (router_ != nullptr) {
-    --ln.in_flight;
-  } else if (ln.in_flight > 0) {
-    --ln.in_flight;
-  }
+  // In-flight gauge: the substrate just handed the envelope back. With
+  // several lanes the delivering thread decrements its own — individual
+  // lanes go signed-negative and only the sum matters. A single lane
+  // saturates at zero instead: remote arrivals on the TCP backend were never
+  // submitted locally.
+  if (lanes_.size() > 1 || ln.in_flight > 0) --ln.in_flight;
   if (!alive_[envelope.to]) {
     // A bounce notice whose addressee has since died notifies nobody; a
     // regular message to a dead destination is lost and bounces to its
@@ -184,7 +163,8 @@ void Network::bounce(Envelope envelope) {
   Lane& ln = lane();
   ++ln.stats.failure_notices;
   ++ln.in_flight;
-  dispatch(std::move(notice), sim::SimTime(latency_.failure_timeout));
+  transport_->submit(std::move(notice),
+                     sim::SimTime(latency_.failure_timeout));
 }
 
 void Network::kill(ProcId p) {

@@ -33,23 +33,6 @@
 
 namespace splice::net {
 
-/// Delivery sink for the sharded (PDES) engine. In router mode the Network
-/// computes latency and link-fault shaping exactly as on the classic path,
-/// then hands the envelope to the router with its absolute delivery time
-/// instead of submitting it to a Transport; the engine files it into the
-/// destination shard's op heap (same shard) or staging inbox (cross shard).
-/// The engine later feeds executed deliveries back through
-/// Network::deliver_routed so dead-dest/bounce/stats semantics stay in one
-/// place.
-class EnvelopeRouter {
- public:
-  virtual ~EnvelopeRouter() = default;
-  /// `when` is absolute simulated time. For cross-processor traffic the
-  /// latency model guarantees when >= poster's now + base latency — the
-  /// conservative-lookahead contract the window barrier relies on.
-  virtual void route(Envelope&& envelope, sim::SimTime when) = 0;
-};
-
 struct LatencyModel {
   /// Fixed wire/software overhead per message.
   std::int64_t base = 20;
@@ -101,8 +84,8 @@ struct NetworkStats {
     return n;
   }
 
-  /// Accumulate another lane's counters (router mode keeps one NetworkStats
-  /// per shard thread; stats() folds them).
+  /// Accumulate another lane's counters (a multi-lane transport keeps one
+  /// NetworkStats per thread; stats() folds them).
   void merge(const NetworkStats& other) noexcept {
     for (std::size_t k = 0; k < kMsgKindCount; ++k) {
       sent[k] += other.sent[k];
@@ -130,22 +113,12 @@ class Network {
   using Receiver = std::function<void(Envelope&&)>;
 
   /// A null transport selects the in-process backend (the common case for
-  /// simulation and tests).
+  /// simulation and tests). Counters split into the transport's lanes()
+  /// (one per thread that sends or delivers, selected by sim::ctx_shard())
+  /// so the send/deliver hot paths never share a cache line across threads;
+  /// the clock reads the calling thread's context simulator.
   Network(sim::Simulator& simulator, Topology topology, LatencyModel latency,
           std::unique_ptr<Transport> transport = nullptr);
-
-  /// Router (PDES engine) mode: no transport; every shaped envelope goes to
-  /// the EnvelopeRouter installed via set_router before the first send.
-  /// Counters split into `shards + 1` thread lanes (one per worker, one for
-  /// the coordinator/classic thread, selected by sim::ctx_shard()) so the
-  /// send/deliver hot paths never share a cache line across threads; the
-  /// clock reads the calling thread's context simulator.
-  struct RouterMode {
-    std::uint32_t shards = 1;
-  };
-  Network(sim::Simulator& coordinator_sim, Topology topology,
-          LatencyModel latency, RouterMode mode);
-  void set_router(EnvelopeRouter& router) noexcept { router_ = &router; }
 
   [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
   [[nodiscard]] ProcId size() const noexcept { return topology_.size(); }
@@ -197,9 +170,9 @@ class Network {
   /// Envelopes submitted to the transport and not yet handed to deliver()
   /// — the in-flight gauge the flight recorder's metrics sampler reads.
   /// (On the distributed TCP backend this counts only locally-submitted
-  /// envelopes; remote legs are invisible to this rank.) In router mode each
-  /// thread lane tracks its own signed delta (poster increments its lane,
-  /// the executing shard decrements its own), so only the sum is meaningful.
+  /// envelopes; remote legs are invisible to this rank.) With more than one
+  /// lane each tracks its own signed delta (poster increments its lane, the
+  /// delivering thread decrements its own), so only the sum is meaningful.
   [[nodiscard]] std::uint64_t in_flight() const noexcept {
     std::int64_t total = 0;
     for (const Lane& lane : lanes_) total += lane.in_flight;
@@ -213,38 +186,25 @@ class Network {
   [[nodiscard]] const Transport& transport() const noexcept {
     return *transport_;
   }
-  /// True when this rank hosts processor p (always true without a transport
-  /// — router mode and single-process simulation host everything).
-  [[nodiscard]] bool is_local(ProcId p) const {
-    return transport_ == nullptr || transport_->local(p);
-  }
+  /// True when this rank hosts processor p (always true for single-process
+  /// backends).
+  [[nodiscard]] bool is_local(ProcId p) const { return transport_->local(p); }
   /// True when ranks span multiple OS processes (TCP backend).
   [[nodiscard]] bool distributed() const noexcept {
-    return transport_ != nullptr && transport_->distributed();
+    return transport_->distributed();
   }
   /// Serialization counters from the transport (all zero for in-process and
-  /// router mode).
+  /// the sharded engine).
   [[nodiscard]] const WireStats& wire() const noexcept {
-    if (transport_ == nullptr) {
-      static const WireStats kNone{};
-      return kNone;
-    }
     return transport_->wire();
   }
   /// Drain externally-arrived frames (socket backends); see Transport::poll.
-  std::size_t poll() { return transport_ != nullptr ? transport_->poll() : 0; }
-
-  /// Router-mode re-entry: the engine executes a delivery op by handing the
-  /// envelope back through the same sink every transport funnels into.
-  void deliver_routed(Envelope&& envelope) { deliver(std::move(envelope)); }
+  std::size_t poll() { return transport_->poll(); }
 
  private:
   /// The single delivery sink every transport funnels into.
   void deliver(Envelope&& envelope);
   void bounce(Envelope envelope);
-  /// Hand a shaped envelope to the substrate: transport (relative delay) or
-  /// router (absolute delivery time).
-  void dispatch(Envelope&& envelope, sim::SimTime delay);
   /// Field-by-field copy for duplicate delivery (the payload variant is not
   /// copy-assignable as a whole because EnvelopeBox is move-only; shaped
   /// traffic never carries one).
@@ -256,8 +216,8 @@ class Network {
     return sim::ctx(sim_).now();
   }
 
-  /// Per-thread counter lane, cache-line padded. Classic mode has exactly
-  /// one; router mode has shards + 1 (last = coordinator thread).
+  /// Per-thread counter lane, cache-line padded: Transport::lanes() of them,
+  /// the last serving every non-worker thread.
   struct alignas(64) Lane {
     NetworkStats stats;
     std::int64_t in_flight = 0;
@@ -272,7 +232,6 @@ class Network {
   Topology topology_;
   LatencyModel latency_;
   std::unique_ptr<Transport> transport_;
-  EnvelopeRouter* router_ = nullptr;
   std::unique_ptr<LinkFaultModel> link_faults_;
   std::vector<Receiver> receivers_;
   std::vector<bool> alive_;

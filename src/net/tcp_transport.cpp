@@ -31,10 +31,11 @@ namespace {
 constexpr std::uint32_t kHelloMagic = 0x53504C43;  // "SPLC"
 
 // Group bring-up is skewed: rank 0 may dial rank 3 before rank 3 has bound
-// its listener. For this window after construction a refused connection is
+// its listener. For this window after construction a refused first dial is
 // retried instead of bounced, so startup order cannot fake a process death.
-// After the grace, ECONNREFUSED means what it says (peer crashed) and fails
-// fast so the §1 failure bounce fires promptly.
+// After the grace — and at once for a peer this rank has reached before,
+// which has plainly been up — ECONNREFUSED means what it says (peer gone)
+// and fails fast so the §1 failure bounce fires promptly.
 constexpr std::uint64_t kDialGraceNs = 5'000'000'000;  // 5 s
 constexpr auto kDialRetryDelay = std::chrono::milliseconds(25);
 
@@ -56,7 +57,8 @@ class TcpTransport final : public Transport {
       : sim_(sim),
         self_(self),
         peers_(std::move(peers)),
-        out_fds_(peers_.size(), -1) {
+        out_fds_(peers_.size(), -1),
+        reached_(peers_.size(), false) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd_ < 0) throw std::runtime_error("tcp: socket() failed");
     const int one = 1;
@@ -157,7 +159,8 @@ class TcpTransport final : public Transport {
       }
       const int err = errno;
       ::close(fd);
-      if (err != ECONNREFUSED || now_ns() - boot_ns_ > kDialGraceNs) {
+      if (err != ECONNREFUSED || reached_[p] ||
+          now_ns() - boot_ns_ > kDialGraceNs) {
         return false;
       }
       std::this_thread::sleep_for(kDialRetryDelay);
@@ -172,6 +175,7 @@ class TcpTransport final : public Transport {
       return false;
     }
     out_fds_[p] = fd;
+    reached_[p] = true;
     return true;
   }
 
@@ -276,6 +280,9 @@ class TcpTransport final : public Transport {
   std::vector<TcpPeer> peers_;
   int listen_fd_ = -1;
   std::vector<int> out_fds_;
+  /// Peers this transport has connected to at least once: past the boot
+  /// skew, so a refused re-dial gets no grace.
+  std::vector<bool> reached_;
   std::vector<Inbound> inbound_;
   std::vector<std::uint8_t> frame_;
   std::uint64_t boot_ns_ = now_ns();

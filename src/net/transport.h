@@ -13,6 +13,11 @@
 //                                              bit-identical to kInProcess
 //   kTcp         yes (sockets)     N           real network; sim time paced
 //                                              to wall clock by the driver
+//   PdesEngine   no (zero-copy)    1           per-shard op heaps keyed by
+//                (runtime/)                    (when, class, stream, seq)
+//
+// The sharded engine is a Transport too: config.parallel.shards >= 1 picks
+// it in place of kInProcess, so the Network never asks which driver runs.
 //
 // A submitted envelope is OWNED by the transport until it invokes the
 // deliver callback (at delivery time, with the envelope — possibly
@@ -73,6 +78,12 @@ class Transport {
   /// True when ranks are spread over multiple OS processes (the runtime
   /// pins the root program and the host channel to rank 0 in that case).
   [[nodiscard]] virtual bool distributed() const noexcept { return false; }
+
+  /// Threads that may call submit() and run the deliver callback
+  /// concurrently. The Network keeps one counter lane per thread, selected
+  /// by sim::ctx_shard() (the last lane serves every non-worker thread):
+  /// 1 for every backend but the sharded engine, which has shards + 1.
+  [[nodiscard]] virtual std::uint32_t lanes() const noexcept { return 1; }
 
   /// Take ownership of `env` and deliver it to env.to after `delay` sim
   /// ticks (real backends substitute their own wire latency for remote

@@ -8,11 +8,13 @@
 #include <utility>
 #include <variant>
 
+#include "runtime/runtime.h"
+
 namespace splice::runtime {
 
 namespace {
 
-void validate(const core::SystemConfig& config) {
+void validate(const core::SystemConfig& config, const net::FaultPlan& plan) {
   const auto reject = [](const std::string& what) {
     throw std::invalid_argument("parallel engine: " + what);
   };
@@ -33,17 +35,19 @@ void validate(const core::SystemConfig& config) {
   if (lat.failure_timeout < lat.base) {
     reject("failure_timeout below latency.base breaks the lookahead bound");
   }
+  if (!plan.triggered.empty()) {
+    reject("triggered faults need the classic event order");
+  }
 }
 
 }  // namespace
 
 // Entry: runs strictly before the worker team exists.
 SPLICE_SHARD_ENTRY
-PdesEngine::PdesEngine(Runtime& runtime, net::Network& network,
-                       const core::SystemConfig& config)
-    : rt_(runtime),
-      network_(network),
-      sim_(runtime.coordinator_sim()),
+PdesEngine::PdesEngine(sim::Simulator& coordinator,
+                       const core::SystemConfig& config,
+                       const net::FaultPlan& plan)
+    : sim_(coordinator),
       procs_(config.processors),
       lookahead_(config.latency.base),
       shard_of_(config.processors),
@@ -55,16 +59,16 @@ PdesEngine::PdesEngine(Runtime& runtime, net::Network& network,
       host_seq_(config.processors, 0),
       host_inbox_(shards_.size() + 1),
       loads_(config.processors, 0) {
-  validate(config);
+  validate(config, plan);
   const auto nshards = static_cast<std::uint32_t>(shards_.size());
   for (net::ProcId p = 0; p < procs_; ++p) shard_of_[p] = p % nshards;
   const bool journaling = config.obs.recorder || config.obs.details;
   for (std::uint32_t s = 0; s < nshards; ++s) {
     shards_[s].index = s;
     shards_[s].inbox.resize(nshards + 1);
-    shards_[s].recorder.configure(journaling, config.obs.journal_capacity,
-                                  config.obs.details);
-    shards_[s].recorder.set_processors(config.processors);
+    shards_[s].journal.configure(journaling, config.obs.journal_capacity,
+                                 config.obs.details);
+    shards_[s].journal.set_processors(config.processors);
   }
 }
 
@@ -111,12 +115,12 @@ std::uint32_t PdesEngine::posting_parity(std::uint32_t slot) const noexcept {
   return static_cast<std::uint32_t>((k + 1) & 1);
 }
 
-// ---- net::EnvelopeRouter ---------------------------------------------------
+// ---- net::Transport --------------------------------------------------------
 
 // Entry: the posting protocol proper — single-writer parity buffers,
 // per-(link, lane) counters owned by the posting thread.
 SPLICE_SHARD_ENTRY
-void PdesEngine::route(net::Envelope&& envelope, sim::SimTime when) {
+void PdesEngine::submit(net::Envelope&& envelope, sim::SimTime delay) {
   std::uint32_t lane = 0;
   if (envelope.kind == net::MsgKind::kDeliveryFailure) {
     // Recover the bounce's cause from its timestamps (see link_seq_ in the
@@ -130,7 +134,7 @@ void PdesEngine::route(net::Envelope&& envelope, sim::SimTime when) {
       (static_cast<std::uint64_t>(envelope.from) * procs_ + envelope.to) * 3 +
       lane;
   Op op;
-  op.when = when;
+  op.when = sim::ctx(sim_).now() + delay;
   op.cls = 1;
   op.stream = stream;
   op.seq = link_seq_[stream]++;
@@ -144,15 +148,10 @@ void PdesEngine::route(net::Envelope&& envelope, sim::SimTime when) {
   }
 }
 
-// ---- EngineHooks -----------------------------------------------------------
+// ---- the Runtime's view ----------------------------------------------------
 
 SPLICE_SHARD_ENTRY
 void PdesEngine::post_host(net::ProcId acting, std::function<void()> fn) {
-  if (sim::ctx_shard() == sim::kNoShard) {
-    // Already on the coordinator: run in place, inside the current event.
-    fn();
-    return;
-  }
   assert(shard_of_[acting] == sim::ctx_shard() &&
          "host ops must be posted from the acting processor's shard");
   HostOp op;
@@ -183,12 +182,10 @@ void PdesEngine::with_shard_of(net::ProcId p,
                                const std::function<void()>& fn) {
   Shard& shard = shards_[shard_of_[p]];
   sim::ScopedContext ctx(&shard.sim, shard.index);
-  obs::ScopedRecorder rec(shard.recorder.enabled() ? &shard.recorder
-                                                   : nullptr);
+  obs::ScopedRecorder rec(shard.journal.enabled() ? &shard.journal
+                                                  : nullptr);
   fn();
 }
-
-std::uint32_t PdesEngine::load_of(net::ProcId p) const { return loads_[p]; }
 
 // Entry: post-run / barrier-phase aggregation (workers parked or joined).
 SPLICE_SHARD_ENTRY
@@ -207,12 +204,6 @@ std::uint64_t PdesEngine::shard_pending() const {
   }
   for (const auto& slot : host_inbox_) n += slot.size();
   return n;
-}
-
-void PdesEngine::note_gauge_sample(sim::SimTime now, std::uint64_t queue_depth,
-                                   std::uint64_t in_flight,
-                                   std::uint64_t residency) {
-  samples_.push_back({now, queue_depth, in_flight, residency});
 }
 
 // ---- run loop --------------------------------------------------------------
@@ -249,7 +240,7 @@ void PdesEngine::coordinator_phase(sim::SimTime wk) {
   while (!sim_.idle() && sim_.next_event_time() <= wk) sim_.run_one();
   // Publish the load snapshot the schedulers read during the next window.
   for (net::ProcId p = 0; p < procs_; ++p) {
-    loads_[p] = rt_.processor(p).queue_length();
+    loads_[p] = rt_->processor(p).queue_length();
   }
 }
 
@@ -274,7 +265,7 @@ SPLICE_SHARD_ENTRY
 void PdesEngine::exec_op(Shard& shard, Op& op) {
   ++shard.ops_executed;
   if (op.cls == 1) {
-    network_.deliver_routed(std::move(op.envelope));
+    deliver_(std::move(op.envelope));
   } else {
     op.fn();
   }
@@ -283,8 +274,8 @@ void PdesEngine::exec_op(Shard& shard, Op& op) {
 SPLICE_SHARD_ENTRY
 void PdesEngine::run_window(Shard& shard) {
   sim::ScopedContext ctx(&shard.sim, shard.index);
-  obs::ScopedRecorder rec(shard.recorder.enabled() ? &shard.recorder
-                                                   : nullptr);
+  obs::ScopedRecorder rec(shard.journal.enabled() ? &shard.journal
+                                                  : nullptr);
   // Drain this window's parity buffers: everything workers posted during
   // window k-1 plus everything the coordinator staged at barrier k. The
   // buffers other workers are filling *right now* have the opposite parity.
@@ -345,7 +336,7 @@ void PdesEngine::run(sim::SimTime deadline) {
 // Entry: after run() joined the team; single-threaded again.
 SPLICE_SHARD_ENTRY
 void PdesEngine::merge_journals() {
-  obs::Recorder& base = rt_.base_recorder();
+  obs::Recorder& base = rt_->base_recorder();
   if (!base.enabled()) return;
   // Phase rank at one tick: shard events at tick T ran in window floor(T/L);
   // coordinator events at T ran at barrier ceil(T/L), which sits *after*
@@ -374,7 +365,7 @@ void PdesEngine::merge_journals() {
   };
   harvest(base, /*coordinator=*/true, 0);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    harvest(shards_[s].recorder, /*coordinator=*/false,
+    harvest(shards_[s].journal, /*coordinator=*/false,
             static_cast<std::uint32_t>(s + 1));
   }
   std::sort(entries.begin(), entries.end(), [](const Entry& a,
@@ -386,7 +377,7 @@ void PdesEngine::merge_journals() {
   // resets the ring, the causal-linker maps and the metrics registry, so
   // cause edges and the metrics series re-derive from the global order;
   // stored gauge samples slot in ahead of the first strictly-later event.
-  const std::uint32_t capacity = rt_.config().obs.journal_capacity;
+  const std::uint32_t capacity = rt_->config().obs.journal_capacity;
   const bool keep_details = base.keeps_details();
   base.configure(true, capacity, keep_details);
   base.set_processors(procs_);

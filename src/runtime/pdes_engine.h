@@ -36,10 +36,18 @@
 // `shards = K` is the same engine at `shards = 1`; the classic
 // `shards = 0` path is untouched.
 //
-// Feature gating: engine mode rejects (std::invalid_argument) configurations
-// whose semantics depend on the classic global event order — the wire
-// transports and kRestart / kPeriodicGlobal recovery. Triggered faults are
-// rejected by the Simulation facade, which owns the fault plan.
+// The engine is the Network's net::Transport: submit() files an envelope
+// into the destination shard's op heap or staging inbox, and a delivery op
+// hands it back through the installed deliver callback, so dead-dest,
+// bounce and stats semantics stay in the Network on both drivers. The
+// Runtime reaches the window protocol through post_shard (coordinator ->
+// processor) and post_host (worker -> coordinator) only.
+//
+// Feature gating: the whole reject list lives in validate() (the
+// constructor throws std::invalid_argument naming the offending knob) —
+// configurations whose semantics depend on the classic global event order:
+// the wire transports, kRestart / kPeriodicGlobal recovery, latency bounds
+// that break the lookahead, and triggered faults.
 #pragma once
 
 #include <array>
@@ -50,25 +58,28 @@
 #include <vector>
 
 #include "core/config.h"
+#include "net/fault_plan.h"
 #include "net/message.h"
-#include "net/network.h"
+#include "net/transport.h"
 #include "obs/journal.h"
 #include "obs/recorder_context.h"
-#include "runtime/runtime.h"
 #include "sim/context.h"
 #include "sim/simulator.h"
 #include "util/annotations.h"
 
 namespace splice::runtime {
 
-class PdesEngine final : public net::EnvelopeRouter, public EngineHooks {
+class Runtime;
+
+class PdesEngine final : public net::Transport {
  public:
-  /// Validates the configuration for engine mode (throws
+  /// Validates the configuration and fault plan for engine mode (throws
   /// std::invalid_argument naming the offending knob) and builds the shard
-  /// set. Call Network::set_router(engine) and Runtime::set_engine(&engine)
-  /// before Runtime::start().
-  PdesEngine(Runtime& runtime, net::Network& network,
-             const core::SystemConfig& config);
+  /// set. `coordinator` is the simulator the Network and Runtime own. Hand
+  /// the engine to the Network as its transport, then call
+  /// Runtime::set_engine before Runtime::start().
+  PdesEngine(sim::Simulator& coordinator, const core::SystemConfig& config,
+             const net::FaultPlan& plan);
   ~PdesEngine() override;
 
   PdesEngine(const PdesEngine&) = delete;
@@ -98,25 +109,60 @@ class PdesEngine final : public net::EnvelopeRouter, public EngineHooks {
   /// Latest simulated time any simulator reached (run-loop end time).
   [[nodiscard]] sim::SimTime horizon() const noexcept;
 
-  // ---- net::EnvelopeRouter -------------------------------------------------
-  void route(net::Envelope&& envelope, sim::SimTime when) override;
+  // ---- net::Transport ------------------------------------------------------
+  /// The engine stands in for the in-process mailbox (validate() rejects
+  /// every other backend).
+  [[nodiscard]] net::TransportKind kind() const noexcept override {
+    return net::TransportKind::kInProcess;
+  }
+  /// One counter lane per worker plus one for the coordinator.
+  [[nodiscard]] std::uint32_t lanes() const noexcept override {
+    return shard_count() + 1;
+  }
+  /// File `envelope` for delivery at the calling thread's clock + `delay`.
+  /// For cross-processor traffic the latency model guarantees
+  /// delay >= base latency — the lookahead the window barrier relies on.
+  void submit(net::Envelope&& envelope, sim::SimTime delay) override;
 
-  // ---- EngineHooks ---------------------------------------------------------
-  void post_host(net::ProcId acting, std::function<void()> fn) override;
-  void post_shard(net::ProcId target, std::function<void()> fn) override;
-  void with_shard_of(net::ProcId p, const std::function<void()>& fn) override;
-  [[nodiscard]] std::uint32_t load_of(net::ProcId p) const override;
-  [[nodiscard]] std::uint64_t shard_events() const override;
-  [[nodiscard]] std::uint64_t shard_pending() const override;
+  // ---- the Runtime's view --------------------------------------------------
+  /// The runtime whose processors the coordinator phase reads (the load
+  /// snapshot) and whose recorder merge_journals() rebuilds. Runtime::
+  /// set_engine calls this.
+  void attach(Runtime& runtime) noexcept { rt_ = &runtime; }
+  /// Worker -> coordinator: stage `fn` to run on the coordinator at the next
+  /// barrier, as a coordinator event at the posting thread's simulated time.
+  /// Replayed in (when, acting, seq) order — a pure function of each
+  /// processor's own event history, hence independent of the shard count.
+  /// Worker threads only.
+  void post_host(net::ProcId acting, std::function<void()> fn);
+  /// Coordinator -> processor, while the workers are parked at a barrier:
+  /// the op lands in `target`'s shard heap and runs at the start of the
+  /// next window, ordered by the coordinator's posting sequence.
+  void post_shard(net::ProcId target, std::function<void()> fn);
+  /// Run `fn` with `p`'s shard simulator installed as the thread context.
+  /// Setup-time only (no worker may be running).
+  void with_shard_of(net::ProcId p, const std::function<void()>& fn);
+  /// Barrier-published queue length of `p` — the scheduler's load snapshot.
+  /// Workers must not read another shard's live queue.
+  [[nodiscard]] std::uint32_t load_of(net::ProcId p) const {
+    return loads_[p];
+  }
+  /// Events executed across all shard simulators (coordinator excluded).
+  [[nodiscard]] std::uint64_t shard_events() const;
+  /// Pending events + staged ops across all shards (queue-depth gauge).
+  [[nodiscard]] std::uint64_t shard_pending() const;
+  /// Record one metrics gauge sample; merge_journals() interleaves stored
+  /// samples with the journal events.
   void note_gauge_sample(sim::SimTime now, std::uint64_t queue_depth,
-                         std::uint64_t in_flight,
-                         std::uint64_t residency) override;
+                         std::uint64_t in_flight, std::uint64_t residency) {
+    samples_.push_back({now, queue_depth, in_flight, residency});
+  }
 
  private:
   /// One unit of cross-thread work, totally ordered by
   /// (when, cls, stream, seq). cls 0 = coordinator-posted lifecycle op
-  /// (runs `fn`); cls 1 = message delivery (runs the envelope through
-  /// Network::deliver_routed).
+  /// (runs `fn`); cls 1 = message delivery (hands the envelope to the
+  /// Transport's deliver callback).
   struct Op {
     sim::SimTime when;
     std::uint32_t cls = 0;
@@ -152,7 +198,7 @@ class PdesEngine final : public net::EnvelopeRouter, public EngineHooks {
   struct alignas(64) Shard {
     std::uint32_t index = 0;
     SPLICE_SHARD_CONFINED sim::Simulator sim;
-    SPLICE_SHARD_CONFINED obs::Recorder recorder;
+    SPLICE_SHARD_CONFINED obs::Recorder journal;
     // binary heap (std::push_heap) keyed by op order
     SPLICE_SHARD_CONFINED std::vector<Op> heap;
     SPLICE_SHARD_CONFINED std::vector<std::array<std::vector<Op>, 2>> inbox;
@@ -175,8 +221,7 @@ class PdesEngine final : public net::EnvelopeRouter, public EngineHooks {
   /// of the window that will drain the post (see Shard::inbox).
   [[nodiscard]] std::uint32_t posting_parity(std::uint32_t slot) const noexcept;
 
-  Runtime& rt_;
-  net::Network& network_;
+  Runtime* rt_ = nullptr;
   sim::Simulator& sim_;  // the coordinator's simulator (Runtime's own)
   const net::ProcId procs_;
   const std::int64_t lookahead_;

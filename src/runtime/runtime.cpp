@@ -1,13 +1,13 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
 #include "recovery/rollback.h"
+#include "runtime/pdes_engine.h"
 #include "util/logging.h"
 
 namespace splice::runtime {
@@ -38,7 +38,17 @@ Runtime::Runtime(sim::Simulator& sim, net::Network& network,
     });
   }
 
-  attach_scheduler();
+  // The driver choice, made once: the sharded engine needs per-origin
+  // scheduler streams and per-processor uid streams (see next_uid) so that
+  // no draw depends on thread interleaving.
+  const bool sharded = config_.parallel.engine();
+  if (sharded) {
+    uid_stream_next_.resize(procs_.size());
+    for (net::ProcId p = 0; p < procs_.size(); ++p) {
+      uid_stream_next_[p] = checkpoint::SuperRoot::kSuperRootUid + 1 + p;
+    }
+  }
+  attach_scheduler(sharded);
 
   checkpoint::SuperRoot::Env sr;
   sr.spawn = [this](TaskPacket packet) {
@@ -63,7 +73,7 @@ Runtime::Runtime(sim::Simulator& sim, net::Network& network,
 
 Runtime::~Runtime() = default;
 
-void Runtime::attach_scheduler() {
+void Runtime::attach_scheduler(bool sharded) {
   sched::SchedulerEnv env;
   env.topology = &network_.topology();
   env.program = &program_;
@@ -76,7 +86,7 @@ void Runtime::attach_scheduler() {
   env.suspected = [this](net::ProcId origin, net::ProcId p) {
     return origin < procs_.size() && procs_[origin]->knows_dead(p);
   };
-  if (engine_ != nullptr) {
+  if (sharded) {
     // A worker must not read another shard's live queue; the engine
     // publishes a load snapshot at every window barrier. Staleness of at
     // most one window is the same imperfect-information regime the
@@ -102,14 +112,41 @@ void Runtime::attach_scheduler() {
   scheduler_->attach(env);
 }
 
-void Runtime::set_engine(EngineHooks* engine) {
-  engine_ = engine;
-  uid_stream_next_.assign(procs_.size(), 0);
-  for (net::ProcId p = 0; p < procs_.size(); ++p) {
-    uid_stream_next_[p] = checkpoint::SuperRoot::kSuperRootUid + 1 + p;
+void Runtime::set_engine(PdesEngine& engine) {
+  engine_ = &engine;
+  engine.attach(*this);
+}
+
+template <typename Fn>
+void Runtime::at_processor(net::ProcId p, Fn fn,
+                           std::function<void()> if_killed) {
+  if (engine_ == nullptr) {
+    // Inside the caller's event: nothing can land between its liveness
+    // check and fn.
+    fn();
+    return;
   }
-  // Per-origin scheduler streams replace the shared classic streams.
-  attach_scheduler();
+  // nuke() bumps the incarnation, so an unchanged one means no kill landed
+  // between this post and the op. (A revive keeps it: on_revive posts to a
+  // processor that is still down.)
+  engine_->post_shard(p, [this, p, life = procs_[p]->incarnation(),
+                          fn = std::move(fn),
+                          if_killed = std::move(if_killed)]() mutable {
+    if (procs_[p]->incarnation() == life) {
+      fn();
+    } else if (if_killed) {
+      at_host(p, std::move(if_killed));
+    }
+  });
+}
+
+template <typename Fn>
+void Runtime::at_host(net::ProcId acting, Fn fn) {
+  if (engine_ == nullptr || sim::ctx_shard() == sim::kNoShard) {
+    fn();
+    return;
+  }
+  engine_->post_host(acting, std::move(fn));
 }
 
 void Runtime::start() {
@@ -129,22 +166,22 @@ void Runtime::start() {
     super_root_->start(std::move(root));
   }
 
-  for (auto& proc : procs_) {
-    if (!network_.is_local(proc->id())) continue;
-    if (engine_ != nullptr) {
-      // Heartbeat timers live on the owning shard's simulator; workers are
-      // not running yet, so installing the context here is safe.
+  if (engine_ != nullptr) {
+    // Heartbeat timers live on the owning shard's simulator; workers are
+    // not running yet, so installing the context here is safe.
+    for (auto& proc : procs_) {
       Processor* raw = proc.get();
       engine_->with_shard_of(raw->id(), [raw] { raw->start_heartbeats(); });
-    } else {
-      proc->start_heartbeats();
     }
-  }
-  if (engine_ != nullptr &&
-      config_.scheduler.kind == core::SchedulerKind::kGradient) {
     // Prime the gradient field before any worker calls choose(): the lazy
     // first refresh mutates shared state and must stay off worker threads.
-    scheduler_messages_ += scheduler_->on_tick(sim::SimTime(0));
+    if (config_.scheduler.kind == core::SchedulerKind::kGradient) {
+      scheduler_messages_ += scheduler_->on_tick(sim::SimTime(0));
+    }
+  } else {
+    for (auto& proc : procs_) {
+      if (network_.is_local(proc->id())) proc->start_heartbeats();
+    }
   }
   schedule_scheduler_tick();
   schedule_gc_tick();
@@ -203,121 +240,92 @@ net::ProcId Runtime::spawn_root_packet(TaskPacket packet) {
                    });
   sim_.after(sim::SimTime(config_.latency.base),
              [this, dest, packet = std::move(packet)]() mutable {
-               if (!network_.alive(dest)) {
-                 // The host link observes the crash immediately and lets the
-                 // super-root place the root elsewhere.
+               // The host link observes a crash immediately and lets the
+               // super-root place the root elsewhere.
+               const auto dead = [this, dest] {
                  super_root_->on_processor_dead(dest);
+               };
+               if (!network_.alive(dest)) {
+                 dead();
                  return;
                }
-               if (engine_ != nullptr) {
-                 // Accepting records/sends/schedules on dest — run it on
-                 // dest's shard at the next window start. A kill ordered
-                 // after this post at the same barrier can still land first,
-                 // so the shard op re-checks and bounces to the super-root
-                 // through the host channel (coordinator context).
-                 engine_->post_shard(
-                     dest, [this, dest, packet = std::move(packet)]() mutable {
-                       if (procs_[dest]->crashed()) {
-                         engine_->post_host(dest, [this, dest] {
-                           super_root_->on_processor_dead(dest);
-                         });
-                         return;
-                       }
-                       procs_[dest]->accept_packet(std::move(packet));
-                     });
-                 return;
-               }
-               procs_[dest]->accept_packet(std::move(packet));
+               at_processor(
+                   dest,
+                   [this, dest, packet = std::move(packet)]() mutable {
+                     procs_[dest]->accept_packet(std::move(packet));
+                   },
+                   dead);
              });
   return dest;
 }
 
 void Runtime::deliver_to_super_root(ResultMsg msg, net::ProcId acting) {
-  if (in_shard_context()) {
-    // Re-enter on the coordinator at the next barrier; the replay executes
-    // at the posting time, so the base-latency leg below is unchanged.
-    engine_->post_host(acting,
-                       [this, msg = std::move(msg), acting]() mutable {
-                         deliver_to_super_root(std::move(msg), acting);
-                       });
-    return;
-  }
-  ++host_messages_;
-  sim_.after(sim::SimTime(config_.latency.base),
-             [this, msg = std::move(msg)]() mutable {
-               const bool was_done = super_root_->done();
-               super_root_->on_result(std::move(msg));
-               if (!was_done && super_root_->done()) {
-                 done_ = true;
-                 completion_time_ = sim_.now();
-                 recorder_.record(sim_.now(), obs::EventKind::kDone, {}, [&] {
-                   return super_root_->answer().to_string();
-                 });
-               }
-             });
+  // The replay of a staged host op executes at the posting time, so the
+  // base-latency leg below is the same from any thread.
+  at_host(acting, [this, msg = std::move(msg)]() mutable {
+    ++host_messages_;
+    sim_.after(sim::SimTime(config_.latency.base),
+               [this, msg = std::move(msg)]() mutable {
+                 const bool was_done = super_root_->done();
+                 super_root_->on_result(std::move(msg));
+                 if (!was_done && super_root_->done()) {
+                   done_ = true;
+                   completion_time_ = sim_.now();
+                   recorder_.record(sim_.now(), obs::EventKind::kDone, {},
+                                    [&] {
+                                      return super_root_->answer().to_string();
+                                    });
+                 }
+               });
+  });
 }
 
 void Runtime::super_root_ack(AckMsg msg, net::ProcId acting) {
-  if (in_shard_context()) {
-    engine_->post_host(acting, [this, msg, acting] {
-      super_root_ack(msg, acting);
-    });
-    return;
-  }
-  ++host_messages_;
-  sim_.after(sim::SimTime(config_.latency.base),
-             [this, msg] { super_root_->on_ack(msg); });
+  at_host(acting, [this, msg] {
+    ++host_messages_;
+    sim_.after(sim::SimTime(config_.latency.base),
+               [this, msg] { super_root_->on_ack(msg); });
+  });
 }
 
 void Runtime::host_send_result(ResultMsg msg) {
-  assert(!in_shard_context() &&
-         "host_send_result is a coordinator-context channel");
   ++host_messages_;
   sim_.after(sim::SimTime(config_.latency.base),
              [this, msg = std::move(msg)]() mutable {
                const net::ProcId dest = msg.target.proc;
+               const auto stranded = [this] { ++stranded_from_host_; };
                if (dest == net::kNoProc || !network_.alive(dest)) {
-                 ++stranded_from_host_;
+                 stranded();
                  return;
                }
-               net::Envelope env;
-               env.kind = net::MsgKind::kForwardResult;
-               env.from = dest;  // host channel surfaces at the destination
-               env.to = dest;
-               env.size_units = msg.size_units();
-               env.payload = std::move(msg);
-               if (engine_ != nullptr) {
-                 // handle() records/sends on dest — shard-op it, with the
-                 // same late-crash re-check as the root inject leg.
-                 auto shared = std::make_shared<net::Envelope>(std::move(env));
-                 engine_->post_shard(dest, [this, dest, shared] {
-                   if (procs_[dest]->crashed()) {
-                     engine_->post_host(dest, [this] { ++stranded_from_host_; });
-                     return;
-                   }
-                   procs_[dest]->handle(std::move(*shared));
-                 });
-                 return;
-               }
-               procs_[dest]->handle(std::move(env));
+               at_processor(
+                   dest,
+                   [this, dest, msg = std::move(msg)]() mutable {
+                     net::Envelope env;
+                     env.kind = net::MsgKind::kForwardResult;
+                     env.from = dest;  // host channel surfaces at dest
+                     env.to = dest;
+                     env.size_units = msg.size_units();
+                     env.payload = std::move(msg);
+                     procs_[dest]->handle(std::move(env));
+                   },
+                   stranded);
              });
 }
 
 void Runtime::note_detection(net::ProcId dead, net::ProcId detector) {
-  if (in_shard_context()) {
-    // Once-per-death bookkeeping touches coordinator-owned state
-    // (detection_noted_, super-root, global policy hooks); replay at the
-    // barrier. The dedup below makes concurrent detections idempotent.
-    engine_->post_host(detector, [this, dead, detector] {
-      note_detection(dead, detector);
-    });
-    return;
-  }
-  if (dead >= detection_noted_.size() || detection_noted_[dead]) return;
-  detection_noted_[dead] = true;
-  if (first_detection_ticks_ < 0) first_detection_ticks_ = sim_.now().ticks();
-  if (hosts_super_root_) super_root_->on_processor_dead(dead);
-  policy_->on_global_failure(*this, dead);
+  // Once-per-death bookkeeping touches coordinator-owned state
+  // (detection_noted_, super-root, global policy hooks). The dedup makes
+  // detections staged by several workers idempotent.
+  at_host(detector, [this, dead] {
+    if (dead >= detection_noted_.size() || detection_noted_[dead]) return;
+    detection_noted_[dead] = true;
+    if (first_detection_ticks_ < 0) {
+      first_detection_ticks_ = sim_.now().ticks();
+    }
+    if (hosts_super_root_) super_root_->on_processor_dead(dead);
+    policy_->on_global_failure(*this, dead);
+  });
 }
 
 void Runtime::on_kill(net::ProcId dead) {
@@ -337,15 +345,11 @@ void Runtime::on_revive(net::ProcId back) {
   // Re-arm once-per-death bookkeeping: if the node dies again after this
   // rejoin, detection and the global policy hooks must fire again.
   if (back < detection_noted_.size()) detection_noted_[back] = false;
-  if (engine_ != nullptr) {
-    // revive() sends rejoin notices and re-arms timers — it must run on the
-    // node's own shard. The network-level revive already happened (the
-    // injector flips liveness before this callback), so peers' sends toward
-    // `back` deliver from the next window on either path.
-    engine_->post_shard(back, [this, back] { procs_.at(back)->revive(); });
-  } else {
-    procs_.at(back)->revive();
-  }
+  // revive() sends rejoin notices and re-arms timers — on the engine it runs
+  // on the node's own shard. The network-level revive already happened (the
+  // injector flips liveness before this callback), so peers' sends toward
+  // `back` deliver from the next window on either driver.
+  at_processor(back, [this, back] { procs_.at(back)->revive(); });
   recorder_.record(sim_.now(), obs::EventKind::kRevive, {.proc = back}, [&] {
     return std::string(warm_rejoin_ ? "processor repaired (warm)"
                                     : "processor repaired (blank)");
@@ -382,17 +386,11 @@ void Runtime::on_partition_heal(const std::vector<net::ProcId>& side) {
       if (p == q || in_side[p] == in_side[q] || procs_[p]->crashed()) continue;
       if (!procs_[p]->knows_dead(q)) continue;
       suspected = true;
-      if (engine_ != nullptr) {
-        // learn_alive sends a state request and the catch-up notices from
-        // p — p's shard runs it, as one op.
-        engine_->post_shard(p, [this, p, q, dead] {
-          if (!procs_[p]->crashed()) {
-            procs_[p]->learn_alive_across_heal(q, dead);
-          }
-        });
-      } else {
+      // learn_alive sends a state request and the catch-up notices from p,
+      // as one op of p's.
+      at_processor(p, [this, p, q, dead] {
         procs_[p]->learn_alive_across_heal(q, dead);
-      }
+      });
     }
     if (suspected && q < detection_noted_.size()) {
       // The false detection consumed the once-per-death bookkeeping; re-arm
@@ -699,8 +697,7 @@ core::RunResult Runtime::collect(sim::SimTime end_time,
   result.faults_injected = faults_injected;
   result.processors = config_.processors;
   result.processors_alive_at_end = network_.alive_count();
-  result.sim_events = sim_.events_executed() +
-                      (engine_ != nullptr ? engine_->shard_events() : 0);
+  result.sim_events = sim_.events_executed();
   result.net = network_.stats();
   result.net.sent[static_cast<std::size_t>(net::MsgKind::kLoadUpdate)] +=
       scheduler_messages_;

@@ -26,45 +26,7 @@
 
 namespace splice::runtime {
 
-/// The sharded (PDES) engine's service interface, as the Runtime sees it.
-/// Null on the classic single-thread path. The contract mirrors the
-/// conservative-window design:
-///  * worker -> coordinator traffic goes through post_host: the op is
-///    stamped with the posting thread's simulated time and a per-acting-
-///    processor sequence number, and the coordinator replays the batch at
-///    the next barrier in (when, acting, seq) order — a pure function of
-///    each processor's own event history, hence independent of the shard
-///    count;
-///  * coordinator -> worker traffic goes through post_shard while the
-///    workers are parked at a barrier: the op lands in the target shard's
-///    heap and executes at the start of the next window, ordered by the
-///    coordinator's posting sequence.
-class EngineHooks {
- public:
-  virtual ~EngineHooks() = default;
-  /// Stage `fn` to run on the coordinator thread at the next barrier, as a
-  /// coordinator event at the posting thread's current simulated time.
-  virtual void post_host(net::ProcId acting, std::function<void()> fn) = 0;
-  /// Coordinator-only: stage `fn` to run on `target`'s shard thread at the
-  /// start of the next window.
-  virtual void post_shard(net::ProcId target, std::function<void()> fn) = 0;
-  /// Run `fn` with `p`'s shard simulator installed as the thread context.
-  /// Setup-time only (no worker may be running).
-  virtual void with_shard_of(net::ProcId p,
-                             const std::function<void()>& fn) = 0;
-  /// Barrier-published queue length of `p` — the scheduler's load snapshot.
-  /// Workers must not read another shard's live queue.
-  [[nodiscard]] virtual std::uint32_t load_of(net::ProcId p) const = 0;
-  /// Events executed across all shard simulators (coordinator excluded).
-  [[nodiscard]] virtual std::uint64_t shard_events() const = 0;
-  /// Pending events + staged ops across all shards (queue-depth gauge).
-  [[nodiscard]] virtual std::uint64_t shard_pending() const = 0;
-  /// Record one metrics gauge sample; the engine interleaves stored samples
-  /// with journal events when it merges the shard rings.
-  virtual void note_gauge_sample(sim::SimTime now, std::uint64_t queue_depth,
-                                 std::uint64_t in_flight,
-                                 std::uint64_t residency) = 0;
-};
+class PdesEngine;
 
 class Runtime {
  public:
@@ -93,9 +55,6 @@ class Runtime {
   /// code schedules and reads the clock through this accessor, so the same
   /// code runs unchanged on both paths.
   [[nodiscard]] sim::Simulator& sim() noexcept { return sim::ctx(sim_); }
-  /// The coordinator's simulator regardless of thread context (engine and
-  /// run-loop plumbing; protocol code wants sim()).
-  [[nodiscard]] sim::Simulator& coordinator_sim() noexcept { return sim_; }
   [[nodiscard]] net::Network& network() noexcept { return network_; }
   [[nodiscard]] const core::SystemConfig& config() const noexcept {
     return config_;
@@ -133,7 +92,7 @@ class Runtime {
   /// processor's uid sequence depends only on its own accept history —
   /// identical across shard counts.
   [[nodiscard]] TaskUid next_uid(net::ProcId acting) noexcept {
-    if (engine_ == nullptr) return uid_counter_++;
+    if (uid_stream_next_.empty()) return uid_counter_++;
     TaskUid& next = uid_stream_next_[acting];
     const TaskUid uid = next;
     next += procs_.size();
@@ -158,19 +117,15 @@ class Runtime {
   /// host's own stream, so the per-stream value is the right one on the
   /// engine path.
   [[nodiscard]] TaskUid current_uid(net::ProcId acting) const noexcept {
-    return engine_ == nullptr ? uid_counter_ : uid_stream_next_[acting];
+    return uid_stream_next_.empty() ? uid_counter_ : uid_stream_next_[acting];
   }
 
   // ---- sharded (PDES) engine ----------------------------------------------
-  /// Install the engine's service hooks (null = classic path). Re-attaches
-  /// the scheduler with per-origin streams and switches uid allocation to
-  /// per-processor streams. Call before start().
-  void set_engine(EngineHooks* engine);
-  [[nodiscard]] EngineHooks* engine() const noexcept { return engine_; }
-  /// True on an engine worker thread (inside a shard window).
-  [[nodiscard]] bool in_shard_context() const noexcept {
-    return engine_ != nullptr && sim::ctx_shard() != sim::kNoShard;
-  }
+  /// Drive this runtime on the sharded engine (the Network's transport when
+  /// config.parallel.shards >= 1; the constructor already picked per-origin
+  /// scheduler streams and per-processor uid streams from that knob). Call
+  /// before start().
+  void set_engine(PdesEngine& engine);
 
   // ---- warm rejoin (store/ subsystem) --------------------------------------
   /// Set by the simulation facade when the armed fault plan repairs nodes
@@ -198,7 +153,6 @@ class Runtime {
   /// Host channel: root spawn acknowledgement.
   void super_root_ack(AckMsg msg, net::ProcId acting);
   /// Host channel: relay a message to a processor (reliable, small delay).
-  /// Coordinator-context only on the engine path (super-root relay).
   void host_send_result(ResultMsg msg);
 
   /// System-wide once-per-dead-processor bookkeeping (detection latency,
@@ -286,9 +240,11 @@ class Runtime {
   std::unique_ptr<checkpoint::SuperRoot> super_root_;
   obs::Recorder recorder_;
 
-  EngineHooks* engine_ = nullptr;
-  /// Engine path: per-processor uid stream cursors (see next_uid). Written
-  /// only by the owning processor's shard thread.
+  /// The sharded engine; null on the classic path. Only the two helpers
+  /// below, start(), the obs tick and the scheduler's load view read it.
+  PdesEngine* engine_ = nullptr;
+  /// Engine path: per-processor uid stream cursors (see next_uid); empty on
+  /// the classic path. Written only by the owning processor's shard thread.
   std::vector<TaskUid> uid_stream_next_;
 
   TaskUid uid_counter_ = checkpoint::SuperRoot::kSuperRootUid + 1;
@@ -305,7 +261,20 @@ class Runtime {
   std::function<void(const std::string&)> trigger_sink_;
 
   /// Build the scheduler environment (classic or engine flavour) and attach.
-  void attach_scheduler();
+  void attach_scheduler(bool sharded);
+  /// Coordinator -> processor `p`: run `fn` as p's own work. Classic: in
+  /// place. Engine: as an op on p's shard at the next window start; a kill
+  /// ordered after the post at the same barrier can land first, so the op
+  /// runs `fn` only if p has not been killed since the post, and otherwise
+  /// hands `if_killed` (when set) to the coordinator.
+  template <typename Fn>
+  void at_processor(net::ProcId p, Fn fn,
+                    std::function<void()> if_killed = nullptr);
+  /// Worker -> coordinator re-entry on behalf of `acting`: in place on the
+  /// classic path and on the coordinator; from an engine worker, staged for
+  /// the next barrier, where it runs at the posting time.
+  template <typename Fn>
+  void at_host(net::ProcId acting, Fn fn);
   void schedule_scheduler_tick();
   /// Flight-recorder metrics sampling (config.obs.sample_interval): close
   /// one goodput/gauge window per interval. Read-only — it perturbs no

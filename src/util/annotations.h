@@ -16,8 +16,9 @@
 //  * SPLICE_SHARD_ENTRY — placed on a function definition that is a
 //    legitimate entry point into confined state: the worker loop itself,
 //    the coordinator phase running while workers are parked, the posting
-//    protocol (route/post_shard) whose parity buffers make the write safe,
-//    and post-run accessors that execute after the team has joined.
+//    protocol (submit/post_host/post_shard) whose parity buffers make the
+//    write safe, and post-run accessors that execute after the team has
+//    joined.
 //
 // Adding a new access site without the annotation fails `ctest -L lint`,
 // which is the point: the reviewer is forced to argue the barrier ordering

@@ -7,7 +7,10 @@
 // in-process mailbox. Any divergence means the codec or the ring dropped,
 // duplicated, or reordered protocol state, exactly the class of bug that
 // would silently corrupt the multi-process TCP deployment.
+#include <memory>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,8 +18,16 @@
 #include "core/simulation.h"
 #include "net/codec.h"
 #include "net/shm_ring.h"
+#include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "test_util.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+#endif
 
 namespace splice {
 namespace {
@@ -235,6 +246,89 @@ TEST(ShmRingUnit, PushFailsWhenFullThenRecovers) {
   EXPECT_EQ(rec.seq, 2u);
   EXPECT_TRUE(ring.empty());
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+
+/// `n` distinct loopback ports that were free a moment ago: all sockets
+/// stay bound until every port is picked, so no two can coincide.
+std::vector<std::uint16_t> free_ports(std::size_t n) {
+  std::vector<int> fds;
+  std::vector<std::uint16_t> ports;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    socklen_t len = sizeof(addr);
+    if (fd < 0 ||
+        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ADD_FAILURE() << "cannot bind a loopback port";
+    }
+    fds.push_back(fd);
+    ports.push_back(ntohs(addr.sin_port));
+  }
+  for (const int fd : fds) ::close(fd);
+  return ports;
+}
+
+net::Envelope heartbeat(net::ProcId from, net::ProcId to) {
+  net::Envelope env;
+  env.kind = net::MsgKind::kHeartbeat;
+  env.from = from;
+  env.to = to;
+  env.payload = runtime::HeartbeatMsg{};
+  return env;
+}
+
+TEST(TcpTransport, RefusedRedialToAPeerReachedBeforeFailsFast) {
+  // After a group's DONE, rank 0 can still send to a peer that has exited.
+  // The boot-time dial grace exists for peers whose listener is not up
+  // yet; a peer this rank has reached before is gone, so the refused
+  // re-dial must bounce at once instead of retrying for the whole grace.
+  const std::vector<std::uint16_t> ports = free_ports(2);
+  const std::vector<net::TcpPeer> peers = {{"127.0.0.1", ports[0]},
+                                           {"127.0.0.1", ports[1]}};
+  sim::Simulator sim;
+  std::unique_ptr<net::Transport> rank0 =
+      net::make_tcp_transport(sim, 0, peers);
+  std::unique_ptr<net::Transport> rank1 =
+      net::make_tcp_transport(sim, 1, peers);
+  int delivered = 0;
+  int unreachable = 0;
+  rank0->set_deliver([](net::Envelope&&) {});
+  rank0->set_unreachable([&](net::Envelope&&) { ++unreachable; });
+  rank1->set_deliver([&](net::Envelope&&) { ++delivered; });
+
+  rank0->submit(heartbeat(0, 1), sim::SimTime(1));
+  for (int i = 0; i < 200 && delivered == 0; ++i) {
+    rank1->poll();
+    if (delivered == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ASSERT_EQ(delivered, 1) << "the first send never arrived";
+  ASSERT_EQ(unreachable, 0);
+
+  rank1.reset();  // rank 1 exits: its listener and accepted link close
+  // The first write after the peer closed can still land in the socket
+  // buffer; the reset that follows makes a later one fail and re-dial.
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50 && unreachable == 0; ++i) {
+    rank0->submit(heartbeat(0, 1), sim::SimTime(1));
+    if (unreachable == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(unreachable, 1);
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms to give up on an exited peer";
+}
+
+#endif
 
 }  // namespace
 }  // namespace splice
