@@ -1,6 +1,8 @@
 #include "checkpoint/checkpoint_table.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 #include "util/small_vec.h"
 
@@ -8,14 +10,37 @@ namespace splice::checkpoint {
 
 CheckpointTable::CheckpointTable(net::ProcId self, net::ProcId processors)
     : self_(self), processors_(processors) {
+  // Stripe s owns dests s, s + kStripeCount, ...; their entries appear as
+  // records arrive (entry_mut).
   stripes_.reserve(kStripeCount);
-  for (std::uint32_t s = 0; s < kStripeCount; ++s) {
-    // Stripe s owns dests s, s + kStripeCount, ...
-    const std::uint32_t owned =
-        (processors > s) ? (processors - s - 1) / kStripeCount + 1 : 0;
-    stripes_.emplace_back(arena_);
-    stripes_.back().entries.resize(owned);
-  }
+  for (std::uint32_t s = 0; s < kStripeCount; ++s) stripes_.emplace_back(arena_);
+}
+
+const std::vector<CheckpointRecord>& CheckpointTable::entry(
+    net::ProcId dest) const {
+  static const std::vector<CheckpointRecord> kNone;
+  const std::vector<CheckpointRecord>* found = find_entry(dest);
+  return found != nullptr ? *found : kNone;
+}
+
+const std::vector<CheckpointRecord>* CheckpointTable::find_entry(
+    net::ProcId dest) const {
+  if (dest >= processors_) throw std::out_of_range("checkpoint: bad dest");
+  const auto& entries = stripes_[stripe_of(dest)].entries;
+  const std::size_t index = dest / kStripeCount;
+  return index < entries.size() ? &entries[index] : nullptr;
+}
+
+std::vector<CheckpointRecord>* CheckpointTable::find_entry(net::ProcId dest) {
+  return const_cast<std::vector<CheckpointRecord>*>(
+      std::as_const(*this).find_entry(dest));
+}
+
+std::vector<CheckpointRecord>& CheckpointTable::entry_mut(net::ProcId dest) {
+  if (std::vector<CheckpointRecord>* found = find_entry(dest)) return *found;
+  auto& entries = stripes_[stripe_of(dest)].entries;
+  entries.resize(dest / kStripeCount + 1);
+  return entries.back();
 }
 
 void CheckpointTable::index_add(net::ProcId dest,
@@ -79,9 +104,10 @@ RecordOutcome CheckpointTable::record(net::ProcId dest,
 }
 
 std::vector<CheckpointRecord> CheckpointTable::take(net::ProcId dead) {
-  auto& entry = entry_mut(dead);
-  std::vector<CheckpointRecord> out = std::move(entry);
-  entry.clear();
+  std::vector<CheckpointRecord>* entry = find_entry(dead);
+  if (entry == nullptr) return {};
+  std::vector<CheckpointRecord> out = std::move(*entry);
+  entry->clear();
   for (const CheckpointRecord& record : out) {
     on_erase(record);
     index_remove(dead, record.packet.stamp);
@@ -93,7 +119,9 @@ std::vector<CheckpointRecord> CheckpointTable::take(net::ProcId dead) {
 
 bool CheckpointTable::release(net::ProcId dest,
                               const runtime::LevelStamp& stamp) {
-  auto& entry = entry_mut(dest);
+  std::vector<CheckpointRecord>* held = find_entry(dest);
+  if (held == nullptr) return false;
+  auto& entry = *held;
   const auto before = entry.size();
   std::erase_if(entry, [&](const CheckpointRecord& existing) {
     if (existing.packet.stamp == stamp) {
@@ -136,8 +164,7 @@ bool CheckpointTable::contains(net::ProcId dest,
     if (it->second != dest) continue;
     // Hash hit on this destination: confirm against the actual records
     // (distinct stamps may collide).
-    for (const CheckpointRecord& record :
-         stripe.entries.at(dest / kStripeCount)) {
+    for (const CheckpointRecord& record : entry(dest)) {
       if (record.packet.stamp == stamp) return true;
     }
     return false;
@@ -159,7 +186,9 @@ std::vector<std::pair<net::ProcId, CheckpointRecord*>>
 CheckpointTable::restored_children_of(const runtime::LevelStamp& parent) {
   std::vector<std::pair<net::ProcId, CheckpointRecord*>> out;
   for (net::ProcId dest = 0; dest < processors_; ++dest) {
-    for (CheckpointRecord& record : entry_mut(dest)) {
+    std::vector<CheckpointRecord>* entry = find_entry(dest);
+    if (entry == nullptr) continue;
+    for (CheckpointRecord& record : *entry) {
       if (record.restored && record.packet.stamp.depth() == parent.depth() + 1 &&
           parent.is_ancestor_of(record.packet.stamp)) {
         out.emplace_back(dest, &record);

@@ -102,10 +102,10 @@ class CheckpointTable {
   /// describe the run, not the node's current contents.
   void clear();
 
+  /// The checkpoints held against `dest` (empty for a destination this
+  /// table never recorded against).
   [[nodiscard]] const std::vector<CheckpointRecord>& entry(
-      net::ProcId dest) const {
-    return stripes_[stripe_of(dest)].entries.at(dest / kStripeCount);
-  }
+      net::ProcId dest) const;
 
   [[nodiscard]] net::ProcId processors() const noexcept { return processors_; }
 
@@ -158,7 +158,9 @@ class CheckpointTable {
         : by_stamp(StampIndex::allocator_type(arena)) {}
     /// entries[d] holds the checkpoints against processor
     /// d * kStripeCount + stripe_index (the §3.2 "table of linked lists",
-    /// striped).
+    /// striped). Grown on a destination's first record, not sized for
+    /// every processor up front: on a big machine most tables only ever
+    /// record against a few destinations.
     std::vector<std::vector<CheckpointRecord>> entries;
     /// stamp-hash -> destination, one value per live record in this stripe.
     /// A multimap because distinct stamps may collide; hits re-verify
@@ -169,9 +171,13 @@ class CheckpointTable {
   [[nodiscard]] static std::uint32_t stripe_of(net::ProcId dest) noexcept {
     return dest & (kStripeCount - 1);
   }
-  [[nodiscard]] std::vector<CheckpointRecord>& entry_mut(net::ProcId dest) {
-    return stripes_[stripe_of(dest)].entries.at(dest / kStripeCount);
-  }
+  /// The entry for `dest`, or nullptr before its first record. Throws
+  /// std::out_of_range for a dest outside the machine.
+  [[nodiscard]] const std::vector<CheckpointRecord>* find_entry(
+      net::ProcId dest) const;
+  [[nodiscard]] std::vector<CheckpointRecord>* find_entry(net::ProcId dest);
+  /// The entry for `dest`, allocated if this is its first use.
+  [[nodiscard]] std::vector<CheckpointRecord>& entry_mut(net::ProcId dest);
 
   void index_add(net::ProcId dest, const runtime::LevelStamp& stamp);
   void index_remove(net::ProcId dest, const runtime::LevelStamp& stamp);

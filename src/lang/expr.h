@@ -14,6 +14,7 @@
 // pure compute time, which is how synthetic trees shape per-task work.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -27,6 +28,9 @@ namespace splice::lang {
 using ExprId = std::uint32_t;
 using FuncId = std::uint32_t;
 inline constexpr ExprId kNoExpr = UINT32_MAX;
+/// Largest body (node count) Program accepts. Call-site ExprIds are the
+/// digits of level stamps, which are 16-bit (runtime/level_stamp.h).
+inline constexpr std::size_t kMaxBodyNodes = UINT16_MAX;
 
 enum class Op : std::uint8_t {
   // scalar arithmetic

@@ -1,6 +1,7 @@
 #include "lang/program.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "lang/interpreter.h"
 
@@ -13,7 +14,28 @@ void Program::invalidate_reference() {
   ref_cache_ = std::make_shared<ReferenceCache>();
 }
 
+namespace {
+void check_body_size(const FunctionDef& def) {
+  if (def.nodes.size() > kMaxBodyNodes) {
+    throw std::invalid_argument("function " + def.name + ": body has " +
+                                std::to_string(def.nodes.size()) +
+                                " nodes, more than " +
+                                std::to_string(kMaxBodyNodes));
+  }
+}
+}  // namespace
+
+std::uint32_t count_call_sites(const FunctionDef& def) noexcept {
+  std::uint32_t n = 0;
+  for (const ExprNode& node : def.nodes) {
+    if (node.kind == ExprKind::kCall) ++n;
+  }
+  return n;
+}
+
 FuncId Program::add_function(FunctionDef def) {
+  check_body_size(def);
+  def.call_sites = count_call_sites(def);
   invalidate_reference();
   functions_.push_back(std::move(def));
   return static_cast<FuncId>(functions_.size() - 1);
@@ -38,6 +60,7 @@ void Program::validate() const {
   }
   for (std::size_t f = 0; f < functions_.size(); ++f) {
     const FunctionDef& def = functions_[f];
+    check_body_size(def);  // function_mut() bypasses add_function's check
     if (def.root == kNoExpr || def.root >= def.nodes.size()) {
       throw std::invalid_argument("function " + def.name + ": bad root");
     }
@@ -144,6 +167,7 @@ ExprId FunctionBuilder::call(FuncId callee, std::vector<ExprId> args) {
 FunctionDef FunctionBuilder::build(ExprId root, std::int32_t pin) && {
   def_.root = root;
   def_.pinned_processor = pin;
+  def_.call_sites = count_call_sites(def_);
   return std::move(def_);
 }
 

@@ -29,7 +29,15 @@ struct FunctionDef {
   /// of this function run on that processor. Used to script the paper's
   /// Figure 1 mapping exactly.
   std::int32_t pinned_processor = -1;
+
+  /// Number of Call nodes in `nodes`: the most call slots a task of this
+  /// function creates, so its slot storage is sized once to this. Counted
+  /// by FunctionBuilder::build and Program::add_function.
+  std::uint32_t call_sites = 0;
 };
+
+/// Number of Call nodes in a body.
+[[nodiscard]] std::uint32_t count_call_sites(const FunctionDef& def) noexcept;
 
 class Program {
  public:

@@ -1,6 +1,7 @@
 #include "net/codec.h"
 
 #include <cassert>
+#include <limits>
 #include <utility>
 #include <variant>
 
@@ -64,7 +65,7 @@ LevelStamp get_stamp(Reader& r) {
         i == 0 ? static_cast<std::int64_t>(r.varint())
                : static_cast<std::int64_t>(wrap_add(
                      static_cast<std::uint64_t>(prev), r.svarint()));
-    if (digit < 0 || digit > UINT32_MAX) {
+    if (digit < 0 || digit > std::numeric_limits<runtime::StampDigit>::max()) {
       throw CodecError("codec: stamp digit out of range");
     }
     digits.push_back(static_cast<runtime::StampDigit>(digit));

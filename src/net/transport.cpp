@@ -1,5 +1,6 @@
 #include "net/transport.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <deque>
@@ -50,14 +51,16 @@ std::uint64_t now_ns() {
 // ---- in-process ------------------------------------------------------------
 
 /// The pooled mailbox that used to live inside Network. In-flight
-/// envelopes park in a recycled pool while their delivery event waits in
-/// the queue; the event captures only {this, slot} — 16 bytes, inside
-/// EventFn's inline buffer — so a send is allocation-free end to end. A
-/// deque, deliberately: growth never relocates existing slots, so the
-/// reference the delivery dispatches through stays valid even when a
-/// receiver's nested send grows the pool; a slot returns to the free list
-/// only after delivery returns, so nested sends cannot reuse it
-/// mid-dispatch either.
+/// envelopes park in recycled slots while their delivery event waits in
+/// the queue; the event captures only {this, slot pointer} — 16 bytes,
+/// inside EventFn's inline buffer — so a send is allocation-free end to
+/// end. Slots live in chunks that never move, so the reference the
+/// delivery dispatches through stays valid even when a receiver's nested
+/// send grows the pool; a slot returns to the free list only after
+/// delivery returns, so nested sends cannot reuse it mid-dispatch either.
+/// Delivery empties the slot's payload at once: a free slot holding on to
+/// a delivered packet or boxed bounce would keep its heap alive until the
+/// slot happened to be reused.
 class InProcessTransport final : public Transport {
  public:
   explicit InProcessTransport(sim::Simulator& sim) : sim_(sim) {}
@@ -67,28 +70,43 @@ class InProcessTransport final : public Transport {
   }
 
   void submit(Envelope&& env, sim::SimTime delay) override {
-    const std::uint32_t slot = pool_acquire(std::move(env));
+    Envelope* slot = pool_acquire();
+    *slot = std::move(env);
     sim_.after(delay, [this, slot] {
-      deliver_(std::move(inflight_[slot]));
-      inflight_free_.push_back(slot);
+      deliver_(std::move(*slot));
+      slot->payload = std::monostate{};
+      free_.push_back(slot);
     });
   }
 
  private:
-  std::uint32_t pool_acquire(Envelope&& envelope) {
-    if (inflight_free_.empty()) {
-      inflight_.push_back(std::move(envelope));
-      return static_cast<std::uint32_t>(inflight_.size() - 1);
+  // Chunks grow geometrically to a cap, like util::SlabPool's: a quiet
+  // network commits a handful of slots, a busy one one malloc per kChunk.
+  static constexpr std::size_t kMinChunk = 16;
+  static constexpr std::size_t kChunk = 256;
+
+  Envelope* pool_acquire() {
+    if (!free_.empty()) {
+      Envelope* slot = free_.back();
+      free_.pop_back();
+      return slot;
     }
-    const std::uint32_t slot = inflight_free_.back();
-    inflight_free_.pop_back();
-    inflight_[slot] = std::move(envelope);
-    return slot;
+    if (bump_ == bump_end_) {
+      const std::size_t n = next_chunk_;
+      next_chunk_ = std::min(next_chunk_ * 2, kChunk);
+      chunks_.push_back(std::make_unique<Envelope[]>(n));
+      bump_ = chunks_.back().get();
+      bump_end_ = bump_ + n;
+    }
+    return bump_++;
   }
 
   sim::Simulator& sim_;
-  std::deque<Envelope> inflight_;
-  std::vector<std::uint32_t> inflight_free_;
+  std::vector<std::unique_ptr<Envelope[]>> chunks_;
+  std::vector<Envelope*> free_;  // delivered slots, reused newest-first
+  Envelope* bump_ = nullptr;     // next never-used slot of the newest chunk
+  Envelope* bump_end_ = nullptr;
+  std::size_t next_chunk_ = kMinChunk;
 };
 
 // ---- shared-memory rings ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "net/codec.h"
@@ -419,7 +420,11 @@ Journal deserialize(const std::uint8_t* data, std::size_t size) {
     if (depth > 4096) throw std::runtime_error("journal: stamp too deep");
     runtime::LevelStamp::Digits digits;
     for (std::uint64_t d = 0; d < depth; ++d) {
-      digits.push_back(static_cast<runtime::StampDigit>(r.varint()));
+      const std::uint64_t digit = r.varint();
+      if (digit > std::numeric_limits<runtime::StampDigit>::max()) {
+        throw std::runtime_error("journal: stamp digit out of range");
+      }
+      digits.push_back(static_cast<runtime::StampDigit>(digit));
     }
     e.stamp = runtime::LevelStamp(std::move(digits));
     journal.events.push_back(e);

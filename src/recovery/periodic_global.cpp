@@ -114,7 +114,8 @@ void PeriodicGlobalPolicy::restore() {
     for (Task& task : snapshot_[home]) {
       Task copy = task;
       for (auto& slot : copy.slots_mut()) {
-        if (slot.outstanding() && !present.contains(slot.retained.stamp)) {
+        if (slot.outstanding() &&
+            !present.contains(copy.child_stamp(slot))) {
           slot.spawned = false;
           slot.sent_to.clear();
           slot.child_procs.clear();

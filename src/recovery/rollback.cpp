@@ -32,13 +32,15 @@ bool all_destinations_dead(Processor& proc, const CallSlot& slot) {
 /// the owning task must not be doomed out from under it. (The eager-splice
 /// variant must NOT use this: splice never takes records, so a record's
 /// presence there says nothing about a pending reissue.)
-bool slot_still_checkpointed(Processor& proc, const CallSlot& slot) {
+bool slot_still_checkpointed(Processor& proc, const Task& owner,
+                             const CallSlot& slot) {
+  const runtime::LevelStamp stamp = owner.child_stamp(slot);
   for (std::size_t i = 0; i < slot.sent_to.size(); ++i) {
     net::ProcId where = slot.sent_to[i];
     if (i < slot.child_procs.size() && slot.child_procs[i] != net::kNoProc) {
       where = slot.child_procs[i];
     }
-    if (proc.table().contains(where, slot.retained.stamp)) return true;
+    if (proc.table().contains(where, stamp)) return true;
   }
   return false;
 }
@@ -56,7 +58,7 @@ std::pair<Task*, CallSlot*> resolve_record_owner(
   if (slot == nullptr || !slot->spawned) {
     // A stamp-matched owner re-accepted after the crash may not have
     // reached this call site yet; re-link the slot from the checkpoint.
-    owner->note_spawned(record.site, record.packet);
+    owner->note_restored(record.site, record.packet);
     slot = owner->find_slot(record.site);
   }
   return {owner, slot};
@@ -109,7 +111,7 @@ void RollbackPolicy::reissue_against(Processor& proc, net::ProcId dead) {
   const auto doomed = [&](Task& task) {
     for (const auto& slot : task.slots()) {
       if (slot.outstanding() && all_destinations_dead(proc, slot) &&
-          !slot_still_checkpointed(proc, slot)) {
+          !slot_still_checkpointed(proc, task, slot)) {
         return true;
       }
     }

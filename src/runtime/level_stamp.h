@@ -12,24 +12,31 @@
 // property splice recovery keys on.
 //
 // Stamps ride in every protocol message, so their digit strings live in a
-// small-buffer vector: copying a stamp of depth <= kInlineDepth (every
-// workload in EXPERIMENTS.md) costs zero heap allocations.
+// small-buffer vector: copying a stamp of depth <= kInlineDepth costs zero
+// heap allocations. Digits are 16-bit (a body has at most
+// lang::kMaxBodyNodes nodes, so every call-site ExprId fits), which buys
+// 24 inline digits in the same 64 bytes that 12 32-bit ones took.
+// perfbench's tree_sum(13) leaves sit at depth 13, one past the old limit.
+// Deeper stamps spill to the heap and behave the same.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "lang/expr.h"
 #include "util/small_vec.h"
 
 namespace splice::runtime {
 
-using StampDigit = std::uint32_t;
+using StampDigit = std::uint16_t;
+// Program rejects bodies whose call-site ExprIds would not fit a digit.
+static_assert(lang::kMaxBodyNodes - 1 <= UINT16_MAX);
 
 class LevelStamp {
  public:
   /// Digit strings up to this depth are stored inline (no heap).
-  static constexpr std::size_t kInlineDepth = 12;
+  static constexpr std::size_t kInlineDepth = 24;
   using Digits = util::SmallVec<StampDigit, kInlineDepth>;
 
   /// Root stamp: the null (empty) level number.
@@ -86,5 +93,9 @@ class LevelStamp {
  private:
   Digits digits_;
 };
+
+// Footprint budget: a stamp rides in every packet, ack, result, cancel and
+// checkpoint record, so growing it grows all of them.
+static_assert(sizeof(LevelStamp) <= 64, "LevelStamp outgrew its 64 bytes");
 
 }  // namespace splice::runtime

@@ -200,8 +200,10 @@ TaskUid Processor::accept_packet(TaskPacket packet) {
       cancel_task(older->uid(), "cancelled: superseded by local respawn");
     }
   }
-  tasks_.emplace(uid,
-                 task_pool_.make(uid, std::move(packet), rt_.sim().now()));
+  tasks_.emplace(
+      uid, task_pool_.make(
+               uid, std::move(packet), rt_.sim().now(),
+               CallSlots(&slot_pool_, rt_.program().function(fn).call_sites)));
 
   rt_.recorder().record(rt_.sim().now(), obs::EventKind::kPlace,
                         {.proc = id_, .uid = uid, .stamp = &stamp}, [&] {
@@ -325,31 +327,25 @@ void Processor::spawn_child(Task& owner, SpawnRequest request) {
     // is awaited — spawning again would duplicate the whole subtree.
     return;
   }
-  TaskPacket packet;
-  packet.stamp = owner.stamp().child(request.site);
-  packet.fn = request.fn;
-  packet.args = std::move(request.args);
-  packet.call_site = request.site;
-  // Ancestor chain: self as parent, then the owner's own chain, truncated
-  // to the configured resilience depth (>= 1).
-  packet.ancestors.push_back(TaskRef{id_, owner.uid()});
-  const auto depth =
-      std::max<std::uint32_t>(1, rt_.config().recovery.ancestor_depth);
-  for (const TaskRef& ref : owner.packet().ancestors) {
-    if (packet.ancestors.size() >= depth) break;
-    packet.ancestors.push_back(ref);
-  }
-  packet.zone = owner.packet().zone;  // lane confinement is inherited
-  owner.note_spawned(request.site, std::move(packet));
+  // The slot retains only the args; send_packet rebuilds the packet
+  // (stamp, ancestor chain, zone, ...) from the owner.
+  owner.note_spawned(request.site, std::move(request.args));
   send_packet(owner, owner.slot(request.site));
 }
 
+TaskPacket Processor::child_packet(const Task& owner,
+                                   const CallSlot& slot) const {
+  return owner.child_packet(slot, rt_.program(), id_,
+                            rt_.config().recovery.ancestor_depth);
+}
+
 void Processor::send_packet(Task& owner, CallSlot& slot) {
-  // Stamp the slot's current spawn generation into the packet: acks echo it
+  // The packet carries the slot's current spawn generation: acks echo it
   // (stale-lineage acks are dropped) and a superseded instance can be told
-  // apart from its replacement wherever both land.
-  slot.retained.lineage = slot.respawns;
-  const TaskPacket& packet = slot.retained;
+  // apart from its replacement wherever both land. A restored record's
+  // packet takes it on from its first reissue.
+  if (slot.restored) slot.restored->lineage = slot.respawns;
+  const TaskPacket packet = child_packet(owner, slot);
   const std::uint32_t replicas =
       rt_.replication_for(packet.stamp.depth());
   const bool zoned = rt_.config().replication.enabled() &&
@@ -377,7 +373,7 @@ void Processor::send_packet(Task& owner, CallSlot& slot) {
   slot.prelink_prev_owner = kNoTask;
   if (rt_.has_triggers()) {
     rt_.fire_trigger("spawn:" + rt_.program().function(packet.fn).name);
-    if (dead_) return;  // trigger killed this node; owner/slot/packet freed
+    if (dead_) return;  // trigger killed this node; owner/slot freed
   }
   for (std::uint32_t r = 0; r < dests.size(); ++r) {
     TaskPacket copy = packet;
@@ -557,11 +553,12 @@ void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
         });
   }
   // An unspawned slot can be pre-filled here (twin not yet scanned, or a
-  // stamp-matched delivery into a re-hosted task); its default-constructed
-  // retained packet names no real function, so no trigger fires for it.
+  // stamp-matched delivery into a re-hosted task); it spawned nothing, so
+  // no trigger fires for it.
   if (rt_.has_triggers() && slot.spawned) {
-    rt_.fire_trigger("result:" +
-                     rt_.program().function(slot.retained.fn).name);
+    rt_.fire_trigger(
+        "result:" +
+        rt_.program().function(task.child_fn(slot, rt_.program())).name);
     if (dead_) return;  // trigger killed this node; task/slot are freed
   }
   // The slot resolved on a lineage that was recovered at least once (a
@@ -580,8 +577,7 @@ void Processor::deliver_parent_result(Task& task, const ResultMsg& msg) {
   if (rt_.policy().functional_checkpointing()) {
     table_.release_anywhere(msg.stamp);
   }
-  slot.retained.args.clear();
-  slot.retained.args.shrink_to_fit();
+  slot.drop_args();
   resume_after_fill(task);
 }
 
@@ -649,9 +645,9 @@ void Processor::handle_ack(AckMsg msg) {
     return;
   }
   if (rt_.has_triggers()) {
-    rt_.fire_trigger("ack:" + rt_.program().function(
-                                  task->slot(msg.call_site).retained.fn)
-                                  .name);
+    const lang::FuncId fn =
+        task->child_fn(task->slot(msg.call_site), rt_.program());
+    rt_.fire_trigger("ack:" + rt_.program().function(fn).name);
     if (dead_) return;  // trigger killed this node; `task` is freed
   }
   // Grandparent transport role: flush orphan results buffered for the twin.
@@ -895,13 +891,14 @@ void Processor::respawn_slot(Task& owner, CallSlot& slot, bool as_twin,
     slot.twin_active = true;
     ++counters_.twins_created;
   }
+  const LevelStamp stamp = owner.child_stamp(slot);
   rt_.recorder().record(
       rt_.sim().now(),
       as_twin ? obs::EventKind::kTwin : obs::EventKind::kReissue,
-      {.proc = id_, .stamp = &slot.retained.stamp}, [&] {
-        return rt_.program().function(slot.retained.fn).name + " " +
-               slot.retained.stamp.to_string() + " (" + std::string(reason) +
-               ")";
+      {.proc = id_, .stamp = &stamp}, [&] {
+        return rt_.program().function(owner.child_fn(slot, rt_.program()))
+                   .name +
+               " " + stamp.to_string() + " (" + std::string(reason) + ")";
       });
   send_packet(owner, slot);
 }
@@ -947,7 +944,7 @@ void Processor::send_cancel(const LevelStamp& stamp, std::uint32_t replica,
 
 void Processor::cancel_slot_instances(const Task& owner, const CallSlot& slot) {
   if (!rt_.config().reclaim.cancellation) return;
-  const LevelStamp& stamp = slot.retained.stamp;
+  const LevelStamp stamp = owner.child_stamp(slot);
   // Roots belong to the super-root; replicated depths keep every copy by
   // design (§5.3 — the redundancy IS the copies).
   if (stamp.is_root() || rt_.replication_for(stamp.depth()) > 1) return;
@@ -1013,7 +1010,7 @@ void Processor::cancel_task(TaskUid uid, std::string_view reason) {
   for (const CallSlot& slot : task->slots()) {
     if (!slot.spawned || slot.resolved()) continue;
     if (rt_.policy().functional_checkpointing()) {
-      table_.release_anywhere(slot.retained.stamp);
+      table_.release_anywhere(task->child_stamp(slot));
     }
     cancel_slot_instances(*task, slot);
   }
@@ -1295,7 +1292,7 @@ void Processor::accept_transferred_packet(TaskPacket packet) {
       record->packet.ancestors[0] = TaskRef{id_, uid};
     }
     if (!prelink) continue;
-    task->note_spawned(record->site, record->packet);
+    task->note_restored(record->site, record->packet);
     CallSlot& slot = task->slot(record->site);
     slot.sent_to = {dest};
     slot.prelinked = true;
@@ -1458,7 +1455,9 @@ void Processor::adopt_tasks(std::vector<Task> tasks) {
 
 std::uint64_t Processor::state_units() const {
   std::uint64_t units = 0;
-  for (const auto& [uid, task] : tasks_) units += task->state_units();
+  for (const auto& [uid, task] : tasks_) {
+    units += task->state_units(rt_.config().recovery.ancestor_depth);
+  }
   return units;
 }
 

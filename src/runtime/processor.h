@@ -125,7 +125,7 @@ class Processor {
   /// and is salvaged by stamp (warm) or by ancestor escalation (splice).
   void respawn_from_record(checkpoint::CheckpointRecord record,
                            std::string_view reason);
-  /// Reissue the child of `slot` from its retained packet. `as_twin` marks
+  /// Reissue the child of `slot` from its checkpoint. `as_twin` marks
   /// a splice step-parent (enables orphan-result inheritance).
   void respawn_slot(Task& owner, CallSlot& slot, bool as_twin,
                     std::string_view reason);
@@ -262,6 +262,10 @@ class Processor {
   void start_next_step();
   void finish_scan(TaskUid uid, ScanOutcome& outcome);
   void spawn_child(Task& owner, SpawnRequest request);
+  /// The packet of `owner`'s child at `slot`, as this node sends it
+  /// (Task::child_packet with this node as host).
+  [[nodiscard]] TaskPacket child_packet(const Task& owner,
+                                        const CallSlot& slot) const;
   void handle_cancel(CancelMsg msg);
   /// Emit one kCancel naming (stamp, replica) — uid-exact when the issuer
   /// holds an acknowledged pointer, else (stamp, parent-instance)-addressed
@@ -285,8 +289,8 @@ class Processor {
   void note_transfer_peer_done(net::ProcId peer);
   void complete_catch_up();
   void flush_warm_results();
-  /// Send packet replicas, record the functional checkpoint. The packet
-  /// must already be retained in the slot.
+  /// Send packet replicas, record the functional checkpoint. The slot must
+  /// already hold the child's args (or a restored packet).
   void send_packet(Task& owner, CallSlot& slot);
   void complete_task(TaskUid uid, const lang::Value& value);
   void handle_result(ResultMsg msg);
@@ -311,6 +315,9 @@ class Processor {
   /// container that allocates from it, so destruction order releases the
   /// containers first.
   util::SlabArena arena_;
+  /// Call-slot arrays of the tasks below; declared before them for the
+  /// same reason.
+  SlotPool slot_pool_;
   util::SlabPool<Task> task_pool_;
   TaskMap tasks_;
   std::deque<TaskUid> step_queue_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <new>
 
 namespace splice::runtime {
 
@@ -94,7 +96,7 @@ std::optional<lang::Value> Task::eval(const lang::Program& program,
       if (!already_spawned && !already_requested) {
         requested.push_back(expr);
         outcome.spawns.push_back(
-            SpawnRequest{expr, node.callee, std::move(call_args)});
+            SpawnRequest{expr, std::move(call_args)});
       }
       return std::nullopt;  // waiting for the child's result
     }
@@ -103,10 +105,160 @@ std::optional<lang::Value> Task::eval(const lang::Program& program,
   return std::nullopt;
 }
 
-void Task::note_spawned(lang::ExprId site, TaskPacket retained) {
+void CallSlot::drop_args() noexcept {
+  args.clear();
+  args.shrink_to_fit();
+  if (restored) {
+    restored->args.clear();
+    restored->args.shrink_to_fit();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Slot storage
+// ---------------------------------------------------------------------------
+
+SlotPool::~SlotPool() {
+  for (FreeBlock* head : free_) {
+    while (head != nullptr) {
+      FreeBlock* next = head->next;
+      ::operator delete(static_cast<void*>(head));
+      head = next;
+    }
+  }
+}
+
+CallSlot* SlotPool::acquire(std::uint32_t capacity) {
+  // Only ever as long as the largest body's call-site count.
+  if (capacity >= free_.size()) free_.resize(capacity + 1, nullptr);
+  if (FreeBlock* block = free_[capacity]; block != nullptr) {
+    free_[capacity] = block->next;
+    return reinterpret_cast<CallSlot*>(block);
+  }
+  return static_cast<CallSlot*>(::operator new(sizeof(CallSlot) * capacity));
+}
+
+void SlotPool::release(CallSlot* block, std::uint32_t capacity) noexcept {
+  assert(capacity < free_.size());  // acquire() sized the list
+  free_[capacity] = ::new (static_cast<void*>(block)) FreeBlock{free_[capacity]};
+}
+
+CallSlots::CallSlots(const CallSlots& other) : capacity_(other.capacity_) {
+  if (other.data_ == nullptr) return;
+  reserve(other.capacity_);
+  for (const CallSlot& s : other) {
+    ::new (static_cast<void*>(data_ + size_)) CallSlot(s);
+    ++size_;
+  }
+}
+
+CallSlots& CallSlots::operator=(const CallSlots& other) {
+  if (this != &other) *this = CallSlots(other);
+  return *this;
+}
+
+CallSlots::CallSlots(CallSlots&& other) noexcept
+    : data_(other.data_),
+      pool_(other.pool_),
+      size_(other.size_),
+      capacity_(other.capacity_) {
+  other.data_ = nullptr;
+  other.size_ = 0;
+}
+
+CallSlots& CallSlots::operator=(CallSlots&& other) noexcept {
+  if (this != &other) {
+    destroy();
+    data_ = other.data_;
+    pool_ = other.pool_;
+    size_ = other.size_;
+    capacity_ = other.capacity_;
+    other.data_ = nullptr;
+    other.size_ = 0;
+  }
+  return *this;
+}
+
+CallSlots::~CallSlots() { destroy(); }
+
+void CallSlots::destroy() noexcept {
+  if (data_ == nullptr) return;
+  std::destroy_n(data_, size_);
+  if (pool_ != nullptr) {
+    pool_->release(data_, capacity_);
+  } else {
+    ::operator delete(static_cast<void*>(data_));
+  }
+  data_ = nullptr;
+  size_ = 0;
+}
+
+void CallSlots::reserve(std::uint32_t capacity) {
+  CallSlot* fresh = pool_ != nullptr
+                        ? pool_->acquire(capacity)
+                        : static_cast<CallSlot*>(
+                              ::operator new(sizeof(CallSlot) * capacity));
+  const std::uint32_t size = size_;
+  for (std::uint32_t i = 0; i < size; ++i) {
+    ::new (static_cast<void*>(fresh + i)) CallSlot(std::move(data_[i]));
+  }
+  destroy();
+  data_ = fresh;
+  size_ = size;
+  capacity_ = capacity;
+}
+
+CallSlot& CallSlots::add(lang::ExprId site) {
+  if (data_ == nullptr) {
+    reserve(std::max<std::uint32_t>(capacity_, 1));
+  } else if (size_ == capacity_) {
+    reserve(capacity_ * 2);
+  }
+  CallSlot* slot = ::new (static_cast<void*>(data_ + size_)) CallSlot{};
+  slot->site = site;
+  ++size_;
+  return *slot;
+}
+
+// ---------------------------------------------------------------------------
+// Slot mechanics
+// ---------------------------------------------------------------------------
+
+void Task::note_spawned(lang::ExprId site, TaskPacket::Args args) {
   CallSlot& s = slot(site);
   s.spawned = true;
-  s.retained = std::move(retained);
+  s.args = std::move(args);
+  s.restored = {};
+}
+
+void Task::note_restored(lang::ExprId site, const TaskPacket& packet) {
+  CallSlot& s = slot(site);
+  s.spawned = true;
+  s.args.clear();
+  s.restored = CallSlot::RestoredPacket(packet);
+}
+
+TaskPacket Task::child_packet(const CallSlot& slot,
+                              const lang::Program& program, net::ProcId host,
+                              std::uint32_t ancestor_depth) const {
+  if (slot.restored) {
+    assert(slot.restored->stamp == child_stamp(slot));
+    return *slot.restored;
+  }
+  TaskPacket packet;
+  packet.stamp = child_stamp(slot);
+  packet.fn = child_fn(slot, program);
+  packet.args = slot.args;
+  packet.call_site = slot.site;
+  packet.ancestors.push_back(TaskRef{host, uid_});
+  const std::uint32_t depth = std::max<std::uint32_t>(1, ancestor_depth);
+  for (const TaskRef& ref : packet_.ancestors) {
+    if (packet.ancestors.size() >= depth) break;
+    packet.ancestors.push_back(ref);
+  }
+  packet.lineage = slot.respawns;
+  packet.zone = packet_.zone;
+  return packet;
 }
 
 bool Task::note_ack(lang::ExprId site, TaskRef child, std::uint32_t replica,
@@ -156,9 +308,7 @@ const CallSlot* Task::find_slot(lang::ExprId site) const {
 
 CallSlot& Task::slot(lang::ExprId site) {
   if (CallSlot* existing = find_slot(site)) return *existing;
-  slots_.push_back(CallSlot{});
-  slots_.back().site = site;
-  return slots_.back();
+  return slots_.add(site);
 }
 
 std::uint32_t Task::outstanding_children() const noexcept {
@@ -169,12 +319,25 @@ std::uint32_t Task::outstanding_children() const noexcept {
   return n;
 }
 
-std::uint32_t Task::state_units() const noexcept {
+std::uint32_t Task::state_units(
+    std::uint32_t ancestor_depth) const noexcept {
+  // A child packet's units without building it (TaskPacket::size_units):
+  // base + stamp + args + one per ancestor, the chain sized as
+  // child_packet sizes it.
+  const auto chain = static_cast<std::uint32_t>(
+      std::min<std::size_t>(std::max<std::uint32_t>(1, ancestor_depth),
+                            1 + packet_.ancestors.size()));
   std::uint32_t units = packet_.size_units();
   for (const CallSlot& s : slots_) {
     units += 1;
     if (s.result.has_value()) units += s.result->size_units();
-    if (s.spawned) units += s.retained.size_units();
+    if (!s.spawned) continue;
+    if (s.restored) {
+      units += s.restored->size_units();
+      continue;
+    }
+    units += 1 + 1 + chain;  // base + stamp + ancestors
+    for (const lang::Value& arg : s.args) units += arg.size_units();
   }
   return units;
 }

@@ -3,10 +3,11 @@
 //
 // Two faces over one mechanism:
 //
-//  * SlabPool<T> — a typed pool. acquire() placement-constructs into a slot
-//    carved from chunked slabs, release() destroys and pushes the slot onto
-//    an intrusive free list. One malloc per kChunk objects instead of one
-//    per object; slots never move, so pointers stay stable for the object's
+//  * SlabPool<T> — a typed pool. acquire() placement-constructs into a
+//    released slot if there is one, else bump-allocates the next slot of
+//    the newest chunk; release() destroys and pushes the slot onto an
+//    intrusive free list. One malloc per kChunk objects instead of one per
+//    object; slots never move, so pointers stay stable for the object's
 //    lifetime.
 //
 //  * SlabArena + PoolAllocator<T> — a size-classed untyped arena with a
@@ -54,7 +55,8 @@ class SlabPool {
     if (slot != nullptr) {
       free_ = slot->next;
     } else {
-      slot = carve();
+      if (bump_ == bump_end_) carve();
+      slot = bump_++;
     }
     ++live_;
     return ::new (static_cast<void*>(slot->storage)) T(
@@ -96,25 +98,25 @@ class SlabPool {
     };
   };
 
-  Slot* carve() {
+  void carve() {
     const std::size_t n = next_chunk_;
     next_chunk_ = std::min(next_chunk_ * 2, kChunk);
-    // Default-initialized storage (plain new[], not make_unique): slots are
-    // raw unions, and zeroing a fresh chunk would touch every page of it up
-    // front — measurably slow with many pools on a big machine.
+    // Default-initialized storage (plain new[], not make_unique), handed
+    // out by bumping a cursor: a slot's page is first written when the slot
+    // is first acquired, never up front — zeroing or free-list threading a
+    // fresh chunk would touch all of it, measurably slow with many pools on
+    // a big machine.
     chunks_.emplace_back(new Slot[n]);
     capacity_ += n;
-    Slot* chunk = chunks_.back().get();
-    // Thread all but the first new slot onto the free list.
-    for (std::size_t i = n - 1; i > 0; --i) {
-      chunk[i].next = free_;
-      free_ = &chunk[i];
-    }
-    return &chunk[0];
+    bump_ = chunks_.back().get();
+    bump_end_ = bump_ + n;
   }
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
+  /// Released slots only; never-used slots are the bump range below.
   Slot* free_ = nullptr;
+  Slot* bump_ = nullptr;      // next never-used slot of the newest chunk
+  Slot* bump_end_ = nullptr;
   std::size_t live_ = 0;
   std::size_t capacity_ = 0;
   std::size_t next_chunk_ = kMinChunk;
@@ -148,8 +150,8 @@ class SlabArena {
     const std::size_t block = (cls + 1) * kAlign;
     if (bump_remaining_ < block) {
       // Chunks grow geometrically to the kChunkBytes cap, default-
-      // initialized (no up-front page-touching memset) — same rationale as
-      // SlabPool::carve().
+      // initialized and bump-allocated (no up-front page-touching) — same
+      // rationale as SlabPool::carve().
       const std::size_t chunk_bytes = next_chunk_bytes_;
       next_chunk_bytes_ = std::min(next_chunk_bytes_ * 2, kChunkBytes);
       chunks_.emplace_back(new unsigned char[chunk_bytes]);

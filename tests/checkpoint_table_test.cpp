@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "checkpoint/checkpoint_table.h"
@@ -28,6 +29,25 @@ TEST(CheckpointTable, RecordsTopmostPerDestination) {
   EXPECT_EQ(table.record(1, make_record(b2)), RecordOutcome::kRecorded);
   EXPECT_EQ(table.entry(1).size(), 1U);
   EXPECT_EQ(table.total_records(), 1U);
+}
+
+TEST(CheckpointTable, UntouchedDestinationsHoldNothing) {
+  // Entries appear on a destination's first record: a big machine's table
+  // pays nothing for destinations it never spawns to.
+  CheckpointTable table(/*self=*/0, /*processors=*/256);
+  for (net::ProcId dest = 0; dest < 256; ++dest) {
+    EXPECT_TRUE(table.entry(dest).empty());
+  }
+  const LevelStamp s = LevelStamp::root().child(4);
+  EXPECT_TRUE(table.take(200).empty());
+  EXPECT_FALSE(table.release(201, s));
+  EXPECT_FALSE(table.contains(202, s));
+  EXPECT_TRUE(table.restored_children_of(LevelStamp::root()).empty());
+  EXPECT_EQ(table.record(255, make_record(s)), RecordOutcome::kRecorded);
+  EXPECT_EQ(table.entry(255).size(), 1U);
+  EXPECT_TRUE(table.entry(254).empty());
+  EXPECT_TRUE(table.contains(255, s));
+  EXPECT_THROW((void)table.entry(256), std::out_of_range);
 }
 
 TEST(CheckpointTable, DescendantIsSubsumed) {

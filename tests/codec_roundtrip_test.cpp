@@ -9,6 +9,7 @@
 // fuzz additionally pin the safety contract: malformed input raises
 // CodecError, never an out-of-bounds read (this suite runs under
 // ASan/UBSan in the sanitize preset).
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -57,10 +58,12 @@ std::int64_t fuzz_i64(Rng& rng) {
 }
 
 LevelStamp fuzz_stamp(Rng& rng) {
-  // Bias toward depths beyond kInlineDepth(12) sometimes: the heap-spill
-  // path of the digit SmallVec must encode identically to the inline path.
+  // Bias toward depths around and beyond kInlineDepth sometimes: the
+  // heap-spill path of the digit SmallVec must encode identically to the
+  // inline path. Digits span the whole 16-bit range.
+  constexpr std::size_t kInline = LevelStamp::kInlineDepth;
   const std::size_t depth =
-      pick(rng, 4) == 0 ? 12 + pick(rng, 20) : pick(rng, 8);
+      pick(rng, 4) == 0 ? kInline - 2 + pick(rng, 20) : pick(rng, 8);
   LevelStamp::Digits digits;
   for (std::size_t i = 0; i < depth; ++i) {
     digits.push_back(pick(rng, 8) == 0
@@ -392,6 +395,35 @@ TEST(CodecRoundtrip, TruncationAlwaysThrows) {
           << "kind=" << net::to_string(kind) << " cut=" << cut;
     }
   }
+}
+
+TEST(CodecRoundtrip, DecodeRejectsOutOfRangeStampDigit) {
+  // Stamp digits are 16-bit. The wire writes them as varints, which can
+  // name larger values: decode must refuse those rather than truncate
+  // them into a different, valid-looking stamp.
+  Envelope env;
+  env.kind = MsgKind::kCancel;
+  env.from = 1;
+  env.to = 2;
+  runtime::CancelMsg cancel;
+  cancel.stamp = LevelStamp::root().child(UINT16_MAX);
+  env.payload = cancel;
+  auto bytes = net::codec::encode_envelope(env);
+  ASSERT_NO_THROW((void)net::codec::decode_envelope(bytes.data(), bytes.size()));
+  // The digit is the varint FF FF 03 (65535); rewrite it, in place, as
+  // 80 80 04 (65536).
+  const std::vector<std::uint8_t> max_digit = {0xFF, 0xFF, 0x03};
+  const auto at = std::search(bytes.begin(), bytes.end(), max_digit.begin(),
+                              max_digit.end());
+  ASSERT_NE(at, bytes.end());
+  ASSERT_EQ(std::search(at + 1, bytes.end(), max_digit.begin(),
+                        max_digit.end()),
+            bytes.end());
+  at[0] = 0x80;
+  at[1] = 0x80;
+  at[2] = 0x04;
+  EXPECT_THROW((void)net::codec::decode_envelope(bytes.data(), bytes.size()),
+               CodecError);
 }
 
 TEST(CodecRoundtrip, MutationFuzzNeverCrashes) {

@@ -181,6 +181,37 @@ TEST(Program, ValidateCatchesEntryArityMismatch) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
+// Call-site ids are 16-bit level-stamp digits, so a body is capped at
+// kMaxBodyNodes nodes; a bigger one is refused, not silently truncated.
+TEST(Program, RejectsBodiesPastTheStampDigitRange) {
+  const auto body_of = [](std::size_t nodes) {
+    FunctionBuilder b("wide", 0);
+    ExprId acc = b.constant(0);
+    while (acc + 2 < nodes) acc = b.add(acc, b.constant(1));
+    if (acc + 1 < nodes) acc = b.burn(acc);
+    return std::move(b).build(acc);
+  };
+  FunctionDef largest = body_of(kMaxBodyNodes);
+  ASSERT_EQ(largest.nodes.size(), kMaxBodyNodes);
+  Program p;
+  EXPECT_NO_THROW((void)p.add_function(std::move(largest)));
+  FunctionDef too_big = body_of(kMaxBodyNodes + 1);
+  ASSERT_EQ(too_big.nodes.size(), kMaxBodyNodes + 1);
+  EXPECT_THROW((void)p.add_function(std::move(too_big)),
+               std::invalid_argument);
+  // Replacing a body in place goes through validate() instead.
+  p.function_mut(0) = body_of(kMaxBodyNodes + 1);
+  p.set_entry(0, {});
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+TEST(Program, CountsCallSitesForSlotSizing) {
+  const Program p = programs::fib(5);
+  const FunctionDef& def = p.function(p.entry());
+  EXPECT_EQ(def.call_sites, count_call_sites(def));
+  EXPECT_EQ(def.call_sites, 2U);  // fib(n-1) + fib(n-2)
+}
+
 TEST(Program, FindByName) {
   Program p = programs::nqueens(4);
   EXPECT_TRUE(p.find("solve").has_value());

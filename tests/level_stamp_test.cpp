@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <set>
 #include <unordered_set>
 
@@ -134,6 +135,53 @@ TEST(LevelStampProperty, ReincarnationYieldsIdenticalStamps) {
   EXPECT_EQ(original, twin_child);
   LevelStamp::Hash hash;
   EXPECT_EQ(hash(original), hash(twin_child));
+}
+
+// Footprint: stamps ride in every message, so copies up to kInlineDepth
+// must stay in the object (no heap), and deeper ones must spill without
+// changing what the stamp means.
+bool stored_inline(const LevelStamp& s) {
+  const auto* begin = reinterpret_cast<const std::byte*>(&s);
+  const auto* digits = reinterpret_cast<const std::byte*>(s.digits().data());
+  return digits >= begin && digits < begin + sizeof(LevelStamp);
+}
+
+LevelStamp stamp_of_depth(std::size_t depth) {
+  LevelStamp s = LevelStamp::root();
+  for (std::size_t i = 0; i < depth; ++i) {
+    s = s.child(static_cast<StampDigit>(i * 2749 % 65536));
+  }
+  return s;
+}
+
+TEST(LevelStampFootprint, Depth24CopiesInline) {
+  static_assert(LevelStamp::kInlineDepth == 24);
+  static_assert(sizeof(LevelStamp) <= 64);
+  const LevelStamp deep = stamp_of_depth(24);
+  ASSERT_EQ(deep.depth(), 24U);
+  EXPECT_TRUE(stored_inline(deep));
+  const LevelStamp copy = deep;  // NOLINT(performance-unnecessary-copy)
+  EXPECT_TRUE(stored_inline(copy));
+  EXPECT_EQ(copy, deep);
+  EXPECT_TRUE(stored_inline(deep.parent()));
+}
+
+TEST(LevelStampFootprint, Depth25SpillsAndComparesEqual) {
+  const LevelStamp spilled = stamp_of_depth(25);
+  ASSERT_EQ(spilled.depth(), 25U);
+  EXPECT_FALSE(stored_inline(spilled));
+  const LevelStamp copy = spilled;  // NOLINT(performance-unnecessary-copy)
+  EXPECT_FALSE(stored_inline(copy));
+  EXPECT_EQ(copy, spilled);
+  EXPECT_EQ(LevelStamp::Hash{}(copy), LevelStamp::Hash{}(spilled));
+  EXPECT_EQ(stamp_of_depth(24).child(static_cast<StampDigit>(24 * 2749)),
+            spilled);
+  EXPECT_EQ(spilled.parent(), stamp_of_depth(24));
+  EXPECT_TRUE(stored_inline(spilled.parent()));
+  EXPECT_TRUE(stamp_of_depth(24).is_ancestor_of(spilled));
+  EXPECT_LT(stamp_of_depth(24), spilled);
+  // The largest digit survives intact.
+  EXPECT_EQ(LevelStamp::root().child(UINT16_MAX).last(), UINT16_MAX);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // util/slab.h: the arena/slab allocator backing Task objects (Processor's
 // SlabPool) and checkpoint-index map nodes (PoolAllocator over SlabArena).
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,6 +68,38 @@ TEST(SlabPool, ChunksGrowGeometricallyFromMinChunk) {
   // 8 + 16 + 32 + 64 + 128 + 256 + 256 + 256 = 1016.
   EXPECT_EQ(pool.capacity(), 1016u);
   for (Probe* q : held) pool.release(q);
+}
+
+TEST(SlabPool, ReusesReleasedSlotsLifoBeforeBumpingFreshOnes) {
+  SlabPool<Probe, 4, 2> pool;
+  Probe* a = pool.acquire(1);
+  Probe* b = pool.acquire(2);
+  const std::less<Probe*> before;
+  EXPECT_TRUE(before(a, b));  // fresh slots come in address order
+  EXPECT_EQ(pool.capacity(), 2u);
+  pool.release(a);
+  pool.release(b);
+  // Released slots come back newest-first, before any fresh slot is used.
+  EXPECT_EQ(pool.acquire(3), b);
+  EXPECT_EQ(pool.acquire(4), a);
+  EXPECT_EQ(pool.capacity(), 2u);
+  // Only once the free list is empty does the pool carve the next chunk
+  // (twice the size, up to kChunk), and bumps through it in order.
+  Probe* c = pool.acquire(5);
+  Probe* d = pool.acquire(6);
+  EXPECT_EQ(pool.capacity(), 6u);
+  EXPECT_TRUE(before(c, d));
+  Probe* e = pool.acquire(7);
+  Probe* f = pool.acquire(8);
+  EXPECT_TRUE(before(d, e));
+  EXPECT_TRUE(before(e, f));
+  EXPECT_EQ(pool.capacity(), 6u);
+  Probe* g = pool.acquire(9);  // 4-slot chunk full: the next one is capped
+  EXPECT_EQ(pool.capacity(), 10u);
+  EXPECT_EQ(pool.live(), 7u);
+  for (Probe* p : {a, b, c, d, e, f, g}) pool.release(p);
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(Probe::live, 0);
 }
 
 TEST(SlabPool, OwningPtrReturnsSlotOnScopeExit) {

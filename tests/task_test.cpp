@@ -77,12 +77,7 @@ TEST(TaskScan, RescanDoesNotRedemandSpawnedSlots) {
   Task task(12, packet_for(p), sim::SimTime(0));
   ScanOutcome first = task.scan(p);
   for (const SpawnRequest& req : first.spawns) {
-    TaskPacket child;
-    child.stamp = task.stamp().child(req.site);
-    child.fn = req.fn;
-    child.args = req.args;
-    child.call_site = req.site;
-    task.note_spawned(req.site, child);
+    task.note_spawned(req.site, req.args);
   }
   const ScanOutcome second = task.scan(p);
   EXPECT_TRUE(second.spawns.empty());
@@ -95,9 +90,7 @@ TEST(TaskScan, CompletesWhenAllSlotsResolve) {
   Task task(13, packet_for(p), sim::SimTime(0));
   ScanOutcome first = task.scan(p);
   for (const SpawnRequest& req : first.spawns) {
-    TaskPacket child;
-    child.call_site = req.site;
-    task.note_spawned(req.site, child);
+    task.note_spawned(req.site, req.args);
     EXPECT_TRUE(
         task.deliver_result(req.site, Value::integer(50), /*quorum=*/1));
   }
@@ -150,9 +143,7 @@ TEST(TaskScan, NestedCallsSpawnInDependencyOrder) {
   ScanOutcome first = task.scan(p);
   ASSERT_EQ(first.spawns.size(), 1U);  // only the inner call is ready
   const auto inner_site = first.spawns[0].site;
-  TaskPacket child;
-  child.call_site = inner_site;
-  task.note_spawned(inner_site, child);
+  task.note_spawned(inner_site, first.spawns[0].args);
   EXPECT_TRUE(task.deliver_result(inner_site, Value::integer(7), 1));
 
   ScanOutcome second = task.scan(p);
@@ -168,9 +159,7 @@ TEST(TaskScan, NestedCallsSpawnInDependencyOrder) {
 TEST(TaskSlots, QuorumVoting) {
   const Program p = two_call_program();
   Task task(17, packet_for(p), sim::SimTime(0));
-  TaskPacket child;
-  child.call_site = 3;
-  task.note_spawned(3, child);
+  task.note_spawned(3, {});
   // Majority of 3: two identical votes required (§5.3).
   EXPECT_FALSE(task.deliver_result(3, Value::integer(9), /*quorum=*/2));
   EXPECT_FALSE(task.slot(3).resolved());
@@ -183,9 +172,7 @@ TEST(TaskSlots, QuorumVoting) {
 TEST(TaskSlots, DuplicateResultIgnored) {
   const Program p = two_call_program();
   Task task(18, packet_for(p), sim::SimTime(0));
-  TaskPacket child;
-  child.call_site = 5;
-  task.note_spawned(5, child);
+  task.note_spawned(5, {});
   EXPECT_TRUE(task.deliver_result(5, Value::integer(1), 1));
   EXPECT_FALSE(task.deliver_result(5, Value::integer(1), 1));  // case 6/7
 }
@@ -219,9 +206,7 @@ TEST(TaskSlots, PrefillDoesNotOverwrite) {
 TEST(TaskSlots, AckRecordsChildPointerPerReplica) {
   const Program p = two_call_program();
   Task task(22, packet_for(p), sim::SimTime(0));
-  TaskPacket child;
-  child.call_site = 6;
-  task.note_spawned(6, child);
+  task.note_spawned(6, {});
   EXPECT_TRUE(task.note_ack(6, TaskRef{3, 77}, /*replica=*/0, /*lineage=*/0));
   EXPECT_TRUE(task.note_ack(6, TaskRef{5, 78}, /*replica=*/2, /*lineage=*/0));
   const CallSlot& slot = task.slot(6);
@@ -235,9 +220,7 @@ TEST(TaskSlots, AckRecordsChildPointerPerReplica) {
 TEST(TaskSlots, StaleLineageAckIsDropped) {
   const Program p = two_call_program();
   Task task(24, packet_for(p), sim::SimTime(0));
-  TaskPacket child;
-  child.call_site = 6;
-  task.note_spawned(6, child);
+  task.note_spawned(6, {});
   // The slot was respawned once: generation-0 acks are from the superseded
   // (cancelled) instance and must not overwrite the twin's pointer.
   task.slot(6).respawns = 1;
@@ -251,12 +234,92 @@ TEST(TaskSlots, StaleLineageAckIsDropped) {
 TEST(TaskSlots, StateUnitsGrowWithRetainedState) {
   const Program p = two_call_program();
   Task task(23, packet_for(p), sim::SimTime(0));
-  const auto before = task.state_units();
-  TaskPacket retained;
-  retained.args = {Value::list(std::vector<std::int64_t>(100, 1))};
-  retained.call_site = 2;
-  task.note_spawned(2, retained);
-  EXPECT_GT(task.state_units(), before);
+  const auto before = task.state_units(/*ancestor_depth=*/2);
+  task.note_spawned(2, {Value::list(std::vector<std::int64_t>(100, 1))});
+  EXPECT_GT(task.state_units(2), before);
+}
+
+// ---------------------------------------------------------------------------
+// Footprint
+// ---------------------------------------------------------------------------
+
+TEST(TaskFootprint, LeafHoldsNoSlotStorage) {
+  // Half of a binary tree's tasks are leaves; they never reach a Call
+  // node, so they must not pay for call slots.
+  Program p;
+  FunctionBuilder b("h", 1);
+  const auto cond = b.lt(b.arg(0), b.constant(2));
+  const auto rec = b.call(0, {b.sub(b.arg(0), b.constant(1))});
+  const auto root = b.iff(cond, b.arg(0), rec);
+  std::ignore = p.add_function(std::move(b).build(root));
+  p.set_entry(0, {Value::integer(1)});
+  ASSERT_EQ(p.function(0).call_sites, 1U);
+  SlotPool pool;
+  Task leaf(30, packet_for(p), sim::SimTime(0),
+            CallSlots(&pool, p.function(0).call_sites));
+  const ScanOutcome out = leaf.scan(p);
+  ASSERT_TRUE(out.result.has_value());
+  EXPECT_TRUE(leaf.slots().empty());
+  EXPECT_FALSE(leaf.slots().allocated());
+}
+
+TEST(TaskFootprint, SlotsAreSizedOnceAndRecycled) {
+  const Program p = two_call_program();
+  const std::uint32_t sites = p.function(p.entry()).call_sites;
+  ASSERT_EQ(sites, 2U);
+  SlotPool pool;
+  const CallSlot* block = nullptr;
+  {
+    Task task(31, packet_for(p), sim::SimTime(0), CallSlots(&pool, sites));
+    ScanOutcome out = task.scan(p);
+    ASSERT_EQ(out.spawns.size(), 2U);
+    task.note_spawned(out.spawns[0].site, out.spawns[0].args);
+    block = task.slots().begin();
+    task.note_spawned(out.spawns[1].site, out.spawns[1].args);
+    EXPECT_EQ(task.slots().begin(), block);  // sized once: never regrows
+    EXPECT_EQ(task.slots().size(), 2U);
+  }
+  // The dead task's array is the next task's: no malloc in steady state.
+  Task next(32, packet_for(p), sim::SimTime(0), CallSlots(&pool, sites));
+  next.note_spawned(next.scan(p).spawns[0].site, {});
+  EXPECT_EQ(next.slots().begin(), block);
+}
+
+TEST(TaskFootprint, ChildPacketDerivesFromOwner) {
+  // The slot keeps only the args; everything else is rebuilt from the
+  // owner exactly as a spawn would have built it.
+  const Program p = two_call_program();
+  TaskPacket own = packet_for(p);
+  own.stamp = LevelStamp::root().child(9);
+  own.ancestors = {TaskRef{4, 40}, TaskRef{5, 50}};
+  own.zone = 1;
+  Task task(33, own, sim::SimTime(0));
+  ScanOutcome out = task.scan(p);
+  const SpawnRequest& req = out.spawns[1];
+  task.note_spawned(req.site, req.args);
+  CallSlot& slot = task.slot(req.site);
+  slot.respawns = 3;
+  const TaskPacket child =
+      task.child_packet(slot, p, /*host=*/7, /*ancestor_depth=*/2);
+  EXPECT_EQ(child.stamp, own.stamp.child(static_cast<StampDigit>(req.site)));
+  EXPECT_EQ(child.fn, 0U);  // g calls leaf, function 0
+  EXPECT_EQ(child.call_site, req.site);
+  ASSERT_EQ(child.args.size(), 1U);
+  EXPECT_EQ(child.args[0].as_int(), 8);
+  ASSERT_EQ(child.ancestors.size(), 2U);  // truncated to the depth
+  EXPECT_EQ(child.ancestors[0], (TaskRef{7, 33}));
+  EXPECT_EQ(child.ancestors[1], (TaskRef{4, 40}));
+  EXPECT_EQ(child.lineage, 3U);
+  EXPECT_EQ(child.zone, 1);
+  EXPECT_EQ(child.replica, 0U);
+  // A slot re-linked from a restored record reissues that record as is.
+  TaskPacket recorded = child;
+  recorded.ancestors = {TaskRef{7, 12}, TaskRef{6, 60}};
+  recorded.lineage = 5;
+  task.note_restored(req.site, recorded);
+  EXPECT_EQ(task.slot(req.site).lineage(), 5U);
+  EXPECT_EQ(task.child_packet(task.slot(req.site), p, 7, 2).ancestors[1],
+            (TaskRef{6, 60}));
 }
 
 TEST(TaskState, NamesAreStable) {
